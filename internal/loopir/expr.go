@@ -35,18 +35,20 @@ func (BinExpr) exprNode()   {}
 // refsOf collects references in evaluation (left-to-right) order.
 func refsOf(e Expr) []Ref {
 	var out []Ref
-	var walk func(Expr)
-	walk = func(e Expr) {
-		switch t := e.(type) {
-		case RefExpr:
-			out = append(out, t.Ref)
-		case BinExpr:
-			walk(t.Left)
-			walk(t.Right)
-		}
-	}
-	walk(e)
+	eachRef(e, func(r Ref) { out = append(out, r) })
 	return out
+}
+
+// eachRef calls fn on every reference in e, in evaluation (left-to-right)
+// order, without collecting them.
+func eachRef(e Expr, fn func(Ref)) {
+	switch t := e.(type) {
+	case RefExpr:
+		fn(t.Ref)
+	case BinExpr:
+		eachRef(t.Left, fn)
+		eachRef(t.Right, fn)
+	}
 }
 
 func exprString(e Expr) string {

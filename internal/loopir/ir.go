@@ -290,17 +290,21 @@ type Access struct {
 // the write).
 func (n *Nest) Accesses() []Access {
 	var out []Access
+	n.EachAccess(func(a Access) { out = append(out, a) })
+	return out
+}
+
+// EachAccess calls fn for every reference occurrence in the body, in
+// Accesses order, without building the slice.
+func (n *Nest) EachAccess(fn func(Access)) {
 	for _, s := range n.Body {
-		for _, r := range refsOf(s.RHS) {
-			out = append(out, Access{Ref: r, Write: false, Atomic: false})
-		}
+		eachRef(s.RHS, func(r Ref) { fn(Access{Ref: r}) })
 		if s.Atomic {
 			// An atomic accumulate also reads its target.
-			out = append(out, Access{Ref: s.LHS, Write: false, Atomic: true})
+			fn(Access{Ref: s.LHS, Write: false, Atomic: true})
 		}
-		out = append(out, Access{Ref: s.LHS, Write: true, Atomic: s.Atomic})
+		fn(Access{Ref: s.LHS, Write: true, Atomic: s.Atomic})
 	}
-	return out
 }
 
 // Arrays returns the distinct array names referenced, sorted.
@@ -346,16 +350,17 @@ func (n *Nest) Validate() error {
 	if !sawDoall {
 		return fmt.Errorf("loopir: nest has no doall loop")
 	}
-	for _, acc := range n.Accesses() {
+	var err error
+	n.EachAccess(func(acc Access) {
 		for _, sub := range acc.Ref.Subs {
 			for v := range sub.Coef {
-				if !seen[v] {
-					return fmt.Errorf("loopir: reference %s uses unknown variable %q", acc.Ref, v)
+				if err == nil && !seen[v] {
+					err = fmt.Errorf("loopir: reference %s uses unknown variable %q", acc.Ref, v)
 				}
 			}
 		}
-	}
-	return nil
+	})
+	return err
 }
 
 // String pretty-prints the nest in the source language.

@@ -247,7 +247,8 @@ func (p *parser) parseRef() (Ref, error) {
 
 // parseAffine parses a subscript expression and verifies it is affine:
 // sums and differences of terms, where each term is an integer, a
-// variable, or integer * variable (in either order).
+// variable, or integer * variable (in either order). Terms accumulate
+// into the one expression, so a subscript costs one coefficient map.
 func (p *parser) parseAffine() (AffineExpr, error) {
 	e := NewAffine(0)
 	sign := int64(1)
@@ -259,11 +260,17 @@ func (p *parser) parseAffine() (AffineExpr, error) {
 		p.advance()
 	}
 	for {
-		term, err := p.parseAffineTerm()
+		v, n, err := p.parseAffineTerm()
 		if err != nil {
 			return AffineExpr{}, err
 		}
-		e = e.Add(term.ScaleBy(sign))
+		if v == "" {
+			e.Const += n * sign
+		} else if c := e.Coef[v] + n*sign; c != 0 {
+			e.Coef[v] = c
+		} else {
+			delete(e.Coef, v)
+		}
 		if p.at(tokPlus) {
 			sign = 1
 			p.advance()
@@ -276,46 +283,47 @@ func (p *parser) parseAffine() (AffineExpr, error) {
 	}
 }
 
-// parseAffineTerm parses n, v, n*v, or v*n.
-func (p *parser) parseAffineTerm() (AffineExpr, error) {
+// parseAffineTerm parses n, v, n*v, or v*n, returning the term's variable
+// ("" for a constant) and its coefficient (the constant itself).
+func (p *parser) parseAffineTerm() (string, int64, error) {
 	t := p.cur()
 	switch t.kind {
 	case tokNumber:
 		p.advance()
 		n, err := parseInt(t.text)
 		if err != nil {
-			return AffineExpr{}, fmt.Errorf("%d:%d: %v", t.line, t.col, err)
+			return "", 0, fmt.Errorf("%d:%d: %v", t.line, t.col, err)
 		}
 		if p.at(tokStar) {
 			p.advance()
 			v, err := p.expect(tokIdent)
 			if err != nil {
-				return AffineExpr{}, err
+				return "", 0, err
 			}
-			return NewAffine(0).AddTerm(v.text, n), nil
+			return v.text, n, nil
 		}
-		return NewAffine(n), nil
+		return "", n, nil
 	case tokIdent:
 		p.advance()
 		if p.at(tokStar) {
 			p.advance()
 			if p.at(tokIdent) {
 				bad := p.cur()
-				return AffineExpr{}, fmt.Errorf("%d:%d: subscripts must be affine: cannot multiply variables %q and %q", bad.line, bad.col, t.text, bad.text)
+				return "", 0, fmt.Errorf("%d:%d: subscripts must be affine: cannot multiply variables %q and %q", bad.line, bad.col, t.text, bad.text)
 			}
 			nt, err := p.expect(tokNumber)
 			if err != nil {
-				return AffineExpr{}, err
+				return "", 0, err
 			}
 			n, err := parseInt(nt.text)
 			if err != nil {
-				return AffineExpr{}, fmt.Errorf("%d:%d: %v", nt.line, nt.col, err)
+				return "", 0, fmt.Errorf("%d:%d: %v", nt.line, nt.col, err)
 			}
-			return NewAffine(0).AddTerm(t.text, n), nil
+			return t.text, n, nil
 		}
-		return NewAffine(0).AddTerm(t.text, 1), nil
+		return t.text, 1, nil
 	default:
-		return AffineExpr{}, fmt.Errorf("%d:%d: subscripts must be affine: expected number or variable, found %s", t.line, t.col, t.kind)
+		return "", 0, fmt.Errorf("%d:%d: subscripts must be affine: expected number or variable, found %s", t.line, t.col, t.kind)
 	}
 }
 

@@ -15,11 +15,13 @@
 package plancache
 
 import (
+	"bytes"
 	"crypto/sha256"
 	"encoding/hex"
-	"fmt"
-	"sort"
+	"slices"
+	"strconv"
 	"strings"
+	"sync"
 
 	"looppart/internal/loopir"
 )
@@ -40,59 +42,202 @@ import (
 // dependent and the plan itself never depends on them, so distinct names
 // only cost cache sharing, never correctness.
 func CanonicalNest(n *loopir.Nest) string {
-	rename := make(map[string]string, len(n.Loops))
-	var b strings.Builder
-	for k, l := range n.Loops {
-		v := fmt.Sprintf("i%02d", k)
-		rename[l.Var] = v
-		if l.SymHi != "" {
-			// Symbolic upper bounds keep their name: two nests agreeing
-			// up to the unknown extent share a plan, different unknowns
-			// do not. Concrete nests render exactly as before, so legacy
-			// keys are unchanged.
-			fmt.Fprintf(&b, "%s %s %d ?%s\n", l.Kind, v, l.Lo, l.SymHi)
-		} else {
-			fmt.Fprintf(&b, "%s %s %d %d\n", l.Kind, v, l.Lo, l.Hi)
-		}
-	}
-	accs := n.Accesses()
-	lines := make([]string, 0, len(accs))
-	for _, acc := range accs {
-		role := "r"
-		switch {
-		case acc.Write && acc.Atomic:
-			role = "w$"
-		case acc.Write:
-			role = "w"
-		case acc.Atomic:
-			role = "r$"
-		}
-		lines = append(lines, role+" "+renderRef(acc.Ref, rename))
-	}
-	sort.Strings(lines)
-	b.WriteString(strings.Join(lines, "\n"))
-	return b.String()
-}
-
-// renderRef renders one reference with canonical index names. The
-// canonical names share a fixed width, so AffineExpr's lexicographic
-// variable order coincides with nest order.
-func renderRef(r loopir.Ref, rename map[string]string) string {
-	subs := make([]string, len(r.Subs))
-	for i, sub := range r.Subs {
-		e := loopir.NewAffine(sub.Const)
-		for v, c := range sub.Coef {
-			e = e.AddTerm(rename[v], c)
-		}
-		subs[i] = e.String()
-	}
-	return r.Array + "[" + strings.Join(subs, ",") + "]"
+	r := renderers.Get().(*renderer)
+	defer renderers.Put(r)
+	return string(r.render(n))
 }
 
 // Key returns the cache key for planning the nest on procs processors
 // under the named strategy: a digest of the canonical nest, prefixed with
 // the request parameters for debuggability.
 func Key(n *loopir.Nest, procs int, strategy string) string {
-	sum := sha256.Sum256([]byte(CanonicalNest(n)))
-	return fmt.Sprintf("%s/p%d/%s", strategy, procs, hex.EncodeToString(sum[:16]))
+	r := renderers.Get().(*renderer)
+	defer renderers.Put(r)
+	sum := sha256.Sum256(r.render(n))
+	var kb [80]byte
+	b := append(kb[:0], strategy...)
+	b = append(b, "/p"...)
+	b = strconv.AppendInt(b, int64(procs), 10)
+	b = append(b, '/')
+	b = hex.AppendEncode(b, sum[:16])
+	return string(b)
+}
+
+// renderer holds the scratch buffers of one canonical rendering, pooled so
+// that a cache lookup allocates nothing but the key string.
+type renderer struct {
+	out   []byte   // the canonical form
+	lines []byte   // access lines, back to back
+	ends  []int    // ends[i] is the end of access line i in lines
+	order []int    // access lines in sorted order
+	names []string // canonical loop variable names, outermost first
+	terms []term   // one subscript's variable terms
+}
+
+// term is one variable term of a subscript under its canonical name.
+type term struct {
+	name string
+	coef int64
+}
+
+var renderers = sync.Pool{New: func() any { return new(renderer) }}
+
+// smallNames are the canonical names of the first hundred loops.
+var smallNames = func() (names [100]string) {
+	for k := range names {
+		names[k] = "i" + strconv.Itoa(k/10) + strconv.Itoa(k%10)
+	}
+	return names
+}()
+
+// canonName is loop k's canonical variable name: i00, i01, …, i99, i100.
+func canonName(k int) string {
+	if k < len(smallNames) {
+		return smallNames[k]
+	}
+	return "i" + strconv.Itoa(k)
+}
+
+// render returns the canonical form of n in r.out, valid until r's next
+// use.
+func (r *renderer) render(n *loopir.Nest) []byte {
+	out := r.out[:0]
+	r.names = r.names[:0]
+	for k, l := range n.Loops {
+		v := canonName(k)
+		r.names = append(r.names, v)
+		out = append(out, l.Kind.String()...)
+		out = append(out, ' ')
+		out = append(out, v...)
+		out = append(out, ' ')
+		out = strconv.AppendInt(out, l.Lo, 10)
+		out = append(out, ' ')
+		if l.SymHi != "" {
+			// Symbolic upper bounds keep their name: two nests agreeing
+			// up to the unknown extent share a plan, different unknowns
+			// do not.
+			out = append(out, '?')
+			out = append(out, l.SymHi...)
+		} else {
+			out = strconv.AppendInt(out, l.Hi, 10)
+		}
+		out = append(out, '\n')
+	}
+
+	r.lines, r.ends = r.lines[:0], r.ends[:0]
+	n.EachAccess(func(acc loopir.Access) { r.access(n, acc) })
+	r.order = r.order[:0]
+	for i := range r.ends {
+		r.order = append(r.order, i)
+	}
+	slices.SortFunc(r.order, func(a, b int) int { return bytes.Compare(r.line(a), r.line(b)) })
+	for i, k := range r.order {
+		if i > 0 {
+			out = append(out, '\n')
+		}
+		out = append(out, r.line(k)...)
+	}
+	r.out = out
+	return out
+}
+
+// line returns access line i.
+func (r *renderer) line(i int) []byte {
+	start := 0
+	if i > 0 {
+		start = r.ends[i-1]
+	}
+	return r.lines[start:r.ends[i]]
+}
+
+// access appends one access line: its role, then the reference with
+// canonical index names.
+func (r *renderer) access(n *loopir.Nest, acc loopir.Access) {
+	b := r.lines
+	switch {
+	case acc.Write && acc.Atomic:
+		b = append(b, "w$ "...)
+	case acc.Write:
+		b = append(b, "w "...)
+	case acc.Atomic:
+		b = append(b, "r$ "...)
+	default:
+		b = append(b, "r "...)
+	}
+	b = append(b, acc.Ref.Array...)
+	b = append(b, '[')
+	for i, sub := range acc.Ref.Subs {
+		if i > 0 {
+			b = append(b, ',')
+		}
+		b = r.affine(b, n, sub)
+	}
+	b = append(b, ']')
+	r.lines = b
+	r.ends = append(r.ends, len(b))
+}
+
+// affine appends one subscript with canonical index names, in the format
+// of loopir.AffineExpr.String: terms in lexicographic order of the
+// canonical name (so i100 sorts before i11), then the constant.
+func (r *renderer) affine(b []byte, n *loopir.Nest, sub loopir.AffineExpr) []byte {
+	ts := r.terms[:0]
+	for v, c := range sub.Coef {
+		ts = append(ts, term{r.rename(n, v), c})
+	}
+	slices.SortFunc(ts, func(a, b term) int { return strings.Compare(a.name, b.name) })
+	// Variables that share a canonical name sum, and a zero sum drops the
+	// term, as AffineExpr.AddTerm would.
+	w := 0
+	for _, t := range ts {
+		if w > 0 && ts[w-1].name == t.name {
+			ts[w-1].coef += t.coef
+			continue
+		}
+		ts[w] = t
+		w++
+	}
+	r.terms = ts
+
+	first := true
+	for _, t := range ts[:w] {
+		switch c := t.coef; {
+		case c == 0:
+			continue
+		case c == 1:
+			if !first {
+				b = append(b, '+')
+			}
+			b = append(b, t.name...)
+		case c == -1:
+			b = append(b, '-')
+			b = append(b, t.name...)
+		default:
+			if c > 0 && !first {
+				b = append(b, '+')
+			}
+			b = strconv.AppendInt(b, c, 10)
+			b = append(b, '*')
+			b = append(b, t.name...)
+		}
+		first = false
+	}
+	if sub.Const != 0 || first {
+		if !first && sub.Const > 0 {
+			b = append(b, '+')
+		}
+		b = strconv.AppendInt(b, sub.Const, 10)
+	}
+	return b
+}
+
+// rename maps a loop variable to its canonical name; the innermost loop
+// wins a duplicated name, and a variable bound by no loop renders empty.
+func (r *renderer) rename(n *loopir.Nest, v string) string {
+	for k := len(n.Loops) - 1; k >= 0; k-- {
+		if n.Loops[k].Var == v {
+			return r.names[k]
+		}
+	}
+	return ""
 }

@@ -74,13 +74,24 @@ func (c *Cache) Get(key string) ([]byte, bool) {
 // GetDecoded is Get also returning the decoded value stored alongside the
 // bytes, when one was supplied via PutDecoded (nil otherwise). Both
 // returns are shared with the cache and must be treated as immutable.
-func (c *Cache) GetDecoded(key string) ([]byte, any, bool) {
+func (c *Cache) GetDecoded(key string) ([]byte, any, bool) { return c.get(key, true) }
+
+// Recheck is GetDecoded for a key whose miss this caller already counted
+// (a singleflight owner re-reading the cache before it searches): a hit
+// counts and promotes as usual, a miss counts nothing.
+func (c *Cache) Recheck(key string) ([]byte, any, bool) { return c.get(key, false) }
+
+func (c *Cache) get(key string, countMiss bool) ([]byte, any, bool) {
 	c.mu.Lock()
 	el, ok := c.items[key]
 	if !ok {
-		c.misses++
+		if countMiss {
+			c.misses++
+		}
 		c.mu.Unlock()
-		telemetry.Active().Counter("plancache.misses").Add(1)
+		if countMiss {
+			telemetry.Active().Counter("plancache.misses").Add(1)
+		}
 		return nil, nil, false
 	}
 	c.hits++

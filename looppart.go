@@ -50,35 +50,50 @@ type Program struct {
 // it follows the paper's Doall notation) and runs the reference analysis.
 // Named loop-bound parameters (e.g. N) are resolved against params.
 func Parse(src string, params map[string]int64) (*Program, error) {
-	reg := telemetry.Active()
-	sp := reg.StartSpan("parse")
-	n, err := loopir.Parse(src, params)
-	sp.End()
+	n, err := parseNest(src, params)
 	if err != nil {
 		return nil, err
 	}
-	sp = reg.StartSpan("analyze")
+	return analyzeNest(n)
+}
+
+// parseNest is Parse's front half: the loop-language parse alone, which
+// is all a plan-cache key needs.
+func parseNest(src string, params map[string]int64) (*loopir.Nest, error) {
+	sp := telemetry.Active().StartSpan("parse")
+	defer sp.End()
+	return loopir.Parse(src, params)
+}
+
+// analyzeNest is Parse's back half: the reference analysis of a parsed
+// nest, which only a search (never a cache hit) needs.
+func analyzeNest(n *loopir.Nest) (*Program, error) {
+	reg := telemetry.Active()
+	sp := reg.StartSpan("analyze")
 	a, err := footprint.Analyze(n)
 	sp.End()
 	if err != nil {
 		return nil, err
 	}
-	// Decision trace: one event per uniformly intersecting class, carrying
-	// the quantities the optimizers score from (G, spread, coefficients).
-	for i, c := range a.Classes {
-		fields := map[string]any{
-			"array":     c.Array,
-			"refs":      c.NumRefs(),
-			"G":         c.G.String(),
-			"spread":    fmt.Sprint(c.Spread()),
-			"cum":       fmt.Sprint(c.CumulativeSpread()),
-			"invariant": c.FootprintInvariant(),
-			"has_write": c.HasWrite(),
+	if reg != nil {
+		// Decision trace: one event per uniformly intersecting class,
+		// carrying the quantities the optimizers score from (G, spread,
+		// coefficients).
+		for i, c := range a.Classes {
+			fields := map[string]any{
+				"array":     c.Array,
+				"refs":      c.NumRefs(),
+				"G":         c.G.String(),
+				"spread":    fmt.Sprint(c.Spread()),
+				"cum":       fmt.Sprint(c.CumulativeSpread()),
+				"invariant": c.FootprintInvariant(),
+				"has_write": c.HasWrite(),
+			}
+			if u, _, ok := c.SpreadCoeffs(); ok {
+				fields["coeffs"] = fmt.Sprint(u)
+			}
+			reg.Emit("analysis.class", fmt.Sprintf("class%d.%s", i, c.Array), fields)
 		}
-		if u, _, ok := c.SpreadCoeffs(); ok {
-			fields["coeffs"] = fmt.Sprint(u)
-		}
-		reg.Emit("analysis.class", fmt.Sprintf("class%d.%s", i, c.Array), fields)
 	}
 	return &Program{Nest: n, Analysis: a}, nil
 }

@@ -24,6 +24,12 @@ go build ./...
 echo '== go test -race =='
 go test -race ./...
 
+echo '== perfbench: served plan bytes and canonical keys vs the reference =='
+# perfbench is a nested module, so the root ./... above skips it; its
+# tests fail on any drift in served bytes or keys against
+# perfbench/testdata/reference.txt.
+(cd perfbench && go test ./...)
+
 echo '== race: parallel search engine at forced pool sizes =='
 go test -race -count=1 \
 	-run 'TestSearchDeterministicAcrossPoolSizes|TestPruningDoesNotChangePlan' \
