@@ -110,6 +110,16 @@ func (b *Breaker) Success() {
 	b.mu.Unlock()
 }
 
+// Release ends an admitted request whose outcome says nothing about the
+// peer's health (the peer answered, but refused the request itself). The
+// state and failure count are left alone; a half-open probe slot is
+// handed back so the next request probes instead.
+func (b *Breaker) Release() {
+	b.mu.Lock()
+	b.probing = false
+	b.mu.Unlock()
+}
+
 // Failure records a failed request: the half-open probe failing (or the
 // threshold-th consecutive closed-state failure) opens the breaker and
 // restarts the cooldown.

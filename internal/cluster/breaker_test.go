@@ -97,3 +97,29 @@ func TestBreakerSuccessResetsFailureStreak(t *testing.T) {
 		t.Fatalf("non-consecutive failures opened the breaker: %v", b.State())
 	}
 }
+
+func TestBreakerReleaseIsNeutral(t *testing.T) {
+	b, clk := newTestBreaker(2, time.Second)
+	b.Failure()
+	b.Release()
+	if b.State() != BreakerClosed {
+		t.Fatalf("state after a failure and a release = %v, want closed", b.State())
+	}
+	// The release did not reset the count: one more failure opens it.
+	b.Failure()
+	if b.State() != BreakerOpen {
+		t.Fatalf("state after 2/2 failures around a release = %v, want open", b.State())
+	}
+	clk.advance(2 * time.Second)
+	if !b.Allow() {
+		t.Fatal("cooled-down breaker refused the probe")
+	}
+	// A released probe leaves the breaker half-open and frees the slot.
+	b.Release()
+	if b.State() != BreakerHalfOpen {
+		t.Fatalf("state after a released probe = %v, want half-open", b.State())
+	}
+	if !b.Allow() {
+		t.Fatal("released probe slot was not handed back")
+	}
+}

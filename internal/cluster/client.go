@@ -3,6 +3,7 @@ package cluster
 import (
 	"bytes"
 	"context"
+	"errors"
 	"fmt"
 	"io"
 	"net/http"
@@ -37,6 +38,13 @@ const (
 // MaxHops is the largest hop count a replica accepts on HopHeader.
 // Peer fills are owner lookups, not routing: one hop reaches the owner.
 const MaxHops = 1
+
+// ErrPeerDeclined is the fill error for an owner that answered 422: the
+// request is well-formed but not plannable, and would fail the same way
+// on every replica. The refusal says nothing about the owner's health,
+// so it neither trips nor closes the owner's breaker; the caller plans
+// locally and reports the same error itself.
+var ErrPeerDeclined = errors.New("cluster: peer declined the request as not plannable")
 
 // Client defaults.
 const (
@@ -95,6 +103,7 @@ type Client struct {
 
 	fills        atomic.Int64 // successful peer fills
 	fillFailures atomic.Int64 // owner contacted, no plan obtained
+	declines     atomic.Int64 // owner answered, request not plannable
 	selfOwned    atomic.Int64 // key owned locally, no fill attempted
 	breakerSkips atomic.Int64 // fill skipped, owner's breaker open
 	hedges       atomic.Int64 // hedged duplicate requests sent
@@ -142,7 +151,8 @@ func (c *Client) Owner(key string) string { return c.ring.Owner(key) }
 
 // Fill fetches key's canonical plan bytes from its owner replica. It
 // returns ok=false — telling the caller to search locally — when this
-// replica owns the key, the owner's breaker is open, or the owner could
+// replica owns the key, the owner's breaker is open, the owner declined
+// the request as not plannable (ErrPeerDeclined), or the owner could
 // not produce the plan within the fill timeout. The attempt is traced as
 // a peer.fill span with owner/hop/outcome attributes, and the hop
 // carries the request's trace ID so the owner's flight record joins the
@@ -168,6 +178,13 @@ func (c *Client) Fill(ctx context.Context, key string, reqBody []byte) ([]byte, 
 	fctx, cancel := context.WithTimeout(ctx, c.timeout)
 	defer cancel()
 	raw, err := c.hedgedFetch(fctx, owner, reqBody, obs.TraceID(ctx))
+	if errors.Is(err, ErrPeerDeclined) {
+		br.Release()
+		c.declines.Add(1)
+		telemetry.Active().Counter("cluster.peer_fill.declined").Add(1)
+		sp.SetAttr("outcome", "declined")
+		return nil, false
+	}
 	if err != nil {
 		br.Failure()
 		c.fillFailures.Add(1)
@@ -261,6 +278,9 @@ func (c *Client) fetch(ctx context.Context, owner string, reqBody []byte, traceI
 		io.Copy(io.Discard, resp.Body)
 		resp.Body.Close()
 	}()
+	if resp.StatusCode == http.StatusUnprocessableEntity {
+		return nil, fmt.Errorf("%w (peer %s)", ErrPeerDeclined, owner)
+	}
 	if resp.StatusCode != http.StatusOK {
 		return nil, fmt.Errorf("cluster: peer %s answered %d", owner, resp.StatusCode)
 	}
@@ -292,6 +312,7 @@ type Stats struct {
 	SelfFraction float64         `json:"self_fraction"`
 	Fills        int64           `json:"fills"`
 	FillFailures int64           `json:"fill_failures"`
+	Declines     int64           `json:"declines"`
 	SelfOwned    int64           `json:"self_owned"`
 	BreakerSkips int64           `json:"breaker_skips"`
 	Hedges       int64           `json:"hedges"`
@@ -307,6 +328,7 @@ func (c *Client) Stats() Stats {
 		SelfFraction: c.ring.OwnedFraction(c.self),
 		Fills:        c.fills.Load(),
 		FillFailures: c.fillFailures.Load(),
+		Declines:     c.declines.Load(),
 		SelfOwned:    c.selfOwned.Load(),
 		BreakerSkips: c.breakerSkips.Load(),
 		Hedges:       c.hedges.Load(),

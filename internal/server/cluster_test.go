@@ -2,6 +2,8 @@ package server
 
 import (
 	"bytes"
+	"context"
+	"encoding/json"
 	"io"
 	"net"
 	"net/http"
@@ -12,7 +14,9 @@ import (
 
 	"looppart"
 	"looppart/internal/cluster"
+	"looppart/internal/loopir"
 	"looppart/internal/obs"
+	"looppart/internal/plancache"
 	"looppart/internal/telemetry"
 )
 
@@ -151,6 +155,78 @@ func TestClusterOwnerCrashFallsBackToLocalSearch(t *testing.T) {
 	if st.Searches != 1 || st.PeerFallbacks != 1 || st.PeerHits != 0 {
 		t.Errorf("stats = %d searches, %d fallbacks, %d peer hits; want 1, 1, 0",
 			st.Searches, st.PeerFallbacks, st.PeerHits)
+	}
+}
+
+// TestClusterUnplannableRequestsKeepBreakerClosed sends a stream of
+// requests that parse but fail the reference analysis (a doseq variable
+// in a subscript) to a replica that does not own their key. The owner
+// answers each peer fill with 422; that refusal says nothing about the
+// owner's health, so the breaker must stay closed, and the requesting
+// replica must report the analysis error itself without searching.
+func TestClusterUnplannableRequestsKeepBreakerClosed(t *testing.T) {
+	reps := newTestFleet(t, 2, nil)
+	const src = `
+doseq (t, 1, 4)
+  doall (i, 1, 16)
+    A[i + t] = A[i]
+  enddoall
+enddoseq`
+	nest, err := loopir.Parse(src, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ring := reps[0].client.Ring()
+	const n = 3 * cluster.DefaultBreakerThreshold
+	var bodies [][]byte
+	for procs := 2; procs < 4096 && len(bodies) < n; procs++ {
+		if ring.Owner(plancache.Key(nest, procs, "rect")) == reps[1].member {
+			b, _ := json.Marshal(looppart.PlanRequest{Source: src, Procs: procs, Strategy: "rect"})
+			bodies = append(bodies, b)
+		}
+	}
+	if len(bodies) < n {
+		t.Fatalf("found %d keys owned by replica 1, want %d", len(bodies), n)
+	}
+	// The error a lone service reports for the same nest.
+	_, wantErr := looppart.NewService(looppart.ServiceOptions{}).Plan(context.Background(),
+		looppart.PlanRequest{Source: src, Procs: 4, Strategy: "rect"})
+	if wantErr == nil {
+		t.Fatal("a lone service planned a nest with a doseq variable in a subscript")
+	}
+	for round := 0; round < 2; round++ {
+		for i, body := range bodies {
+			resp, data := postPlan(t, reps[0].ts.URL, body)
+			if resp.StatusCode != http.StatusUnprocessableEntity {
+				t.Fatalf("round %d request %d: status %d, want 422: %s", round, i, resp.StatusCode, data)
+			}
+			var eb errorBody
+			if err := json.Unmarshal(data, &eb); err != nil || eb.Error != wantErr.Error() {
+				t.Errorf("round %d request %d: error body %s, want %q", round, i, data, wantErr)
+			}
+		}
+	}
+	st := reps[0].client.Stats()
+	if st.Declines != int64(2*n) || st.FillFailures != 0 || st.BreakerSkips != 0 {
+		t.Errorf("client stats = %d declines, %d failures, %d breaker skips; want %d, 0, 0",
+			st.Declines, st.FillFailures, st.BreakerSkips, 2*n)
+	}
+	for _, b := range st.Breakers {
+		if b.State != cluster.BreakerClosed.String() {
+			t.Errorf("breaker for %s is %s after unplannable requests, want closed", b.Peer, b.State)
+		}
+	}
+	for i, r := range reps {
+		if st := r.svc.Stats(); st.Searches != 0 || st.Cache.Entries != 0 {
+			t.Errorf("replica %d: %d searches, %d cache entries; want none", i, st.Searches, st.Cache.Entries)
+		}
+	}
+
+	// A plannable key owned by replica 1 still peer-fills afterwards.
+	resp, data := postPlan(t, reps[0].ts.URL, ownedBody(t, ring, reps[1].member))
+	if resp.StatusCode != http.StatusOK || resp.Header.Get("X-Plancache") != "peer" {
+		t.Errorf("plannable request: status %d, X-Plancache %q, want 200 peer: %s",
+			resp.StatusCode, resp.Header.Get("X-Plancache"), data)
 	}
 }
 

@@ -679,6 +679,7 @@ func (s *Server) publishClusterGauges() {
 		}
 		reg.Gauge("cluster.peer_fill.fills").Set(float64(st.Fills))
 		reg.Gauge("cluster.peer_fill.fill_failures").Set(float64(st.FillFailures))
+		reg.Gauge("cluster.peer_fill.declines").Set(float64(st.Declines))
 		reg.Gauge("cluster.peer_fill.self_owned").Set(float64(st.SelfOwned))
 		reg.Gauge("cluster.peer_fill.breaker_skips").Set(float64(st.BreakerSkips))
 		reg.Gauge("cluster.peer_fill.hedged").Set(float64(st.Hedges))
