@@ -4,7 +4,6 @@ import (
 	"context"
 
 	"looppart/internal/autotune"
-	"looppart/internal/telemetry"
 )
 
 // AutotuneOptions parameterizes Program.Autotune.
@@ -27,60 +26,47 @@ type AutotuneOptions struct {
 // search's top-K candidates by measured replay: the returned plan is the
 // tournament winner, whose simulated miss count is never above the pure
 // analytic plan's (candidate 0 is the argmin and ties break toward it).
+// When ctx carries an obs.Trace, the tournament records a "tournament"
+// span (candidates, winner rank, measured misses).
 //
-// Strategy handling mirrors Partition: Auto resolves to comm-free when a
-// communication-free hyperplane exists (already zero communication —
-// there is nothing for a measured tournament to improve, so none runs
-// and the Result is nil), otherwise to a rect tournament. Rect and
-// Skewed run their tournaments directly. The naive strategies (rows,
-// columns, blocks, abraham-hudak) are fixed shapes with no candidate set;
-// they fall through to Partition with a nil Result.
-func (pr *Program) Autotune(procs int, strategy Strategy, opts AutotuneOptions) (*Plan, *autotune.Result, error) {
-	return pr.AutotuneCtx(context.Background(), procs, strategy, opts)
-}
-
-// AutotuneCtx is Autotune with request-scoped tracing: when ctx carries an
-// obs.Trace, the tournament records a "tournament" span (candidates, winner
-// rank, measured misses). Without a trace it behaves exactly like Autotune.
-func (pr *Program) AutotuneCtx(ctx context.Context, procs int, strategy Strategy, opts AutotuneOptions) (*Plan, *autotune.Result, error) {
-	reg := telemetry.Active()
-	switch strategy {
-	case Auto:
-		if plan, err := pr.PartitionCtx(ctx, procs, CommFree); err == nil {
-			reg.Emit("strategy.auto", "comm-free", map[string]any{
-				"reason": "a communication-free hyperplane partition exists; no tournament needed",
-			})
-			return plan, nil, nil
+// Strategy handling is Partition's: the same symbolic-bounds guard and
+// auto policy, so auto resolves to oblivious over symbolic bounds and to
+// comm-free when a communication-free hyperplane exists (already zero
+// communication — nothing for a measured tournament to improve). Only
+// rect and skewed run tournaments; every other resolved strategy —
+// lowerbound included, whose top-K ranks the rect argmin first rather
+// than its own plan — gets the analytic plan with a nil Result.
+func (pr *Program) Autotune(ctx context.Context, procs int, strategy Strategy, opts AutotuneOptions) (*Plan, *autotune.Result, error) {
+	var res *autotune.Result
+	plan, err := pr.dispatch(procs, strategy, func(s Strategy) (*Plan, error) {
+		if s != Rect && s != Skewed {
+			return pr.familyPlan(ctx, s, procs)
 		}
-		reg.Emit("strategy.auto", "rect", map[string]any{
-			"reason": "no communication-free partition; tournament over footprint-optimal rectangles",
-		})
-		return pr.AutotuneCtx(ctx, procs, Rect, opts)
-	case Rect, Skewed:
-		res, err := autotune.RunTournamentCtx(ctx, pr.Analysis, autotune.TournamentOptions{
+		var err error
+		res, err = autotune.RunTournamentCtx(ctx, pr.Analysis, autotune.TournamentOptions{
 			Procs:       procs,
-			Strategy:    strategy.String(),
+			Strategy:    s.String(),
 			K:           opts.TopK,
 			Fingerprint: opts.Fingerprint,
 			CacheLines:  opts.CacheLines,
 			Exec:        opts.Exec,
 		})
 		if err != nil {
-			return nil, nil, err
+			return nil, err
 		}
 		w := res.WinnerCandidate()
-		plan, err := pr.tilePlan(strategy, procs, w.Tile, w.PredictedFootprint, 0)
+		plan, err := pr.tilePlan(s, procs, w.Tile, w.PredictedFootprint, 0)
 		if err != nil {
-			return nil, nil, err
+			return nil, err
 		}
-		if strategy == Rect {
+		if s == Rect {
 			// Keep the traffic prediction the analytic rect plan carries.
-			tr, _ := pr.Analysis.RectTotalTraffic(w.Tile.Extents())
-			plan.PredictedTraffic = tr
+			plan.PredictedTraffic, _ = pr.Analysis.RectTotalTraffic(w.Tile.Extents())
 		}
-		return plan, res, nil
-	default:
-		plan, err := pr.PartitionCtx(ctx, procs, strategy)
-		return plan, nil, err
+		return plan, nil
+	})
+	if err != nil {
+		return nil, nil, err
 	}
+	return plan, res, nil
 }

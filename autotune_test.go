@@ -83,11 +83,11 @@ func TestAutotunedPlanNeverWorseThanAnalytic(t *testing.T) {
 		if err != nil {
 			t.Fatalf("%s: %v", name, err)
 		}
-		analytic, err := prog.Partition(procs, looppart.Rect)
+		analytic, err := prog.Partition(context.Background(), procs, looppart.Rect)
 		if err != nil {
 			t.Fatalf("%s: %v", name, err)
 		}
-		tuned, res, err := prog.Autotune(procs, looppart.Rect, looppart.AutotuneOptions{TopK: 4})
+		tuned, res, err := prog.Autotune(context.Background(), procs, looppart.Rect, looppart.AutotuneOptions{TopK: 4})
 		if err != nil {
 			t.Fatalf("%s: %v", name, err)
 		}
@@ -116,7 +116,7 @@ func TestAutotuneAutoResolvesCommFree(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	plan, res, err := prog.Autotune(4, looppart.Auto, looppart.AutotuneOptions{})
+	plan, res, err := prog.Autotune(context.Background(), 4, looppart.Auto, looppart.AutotuneOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -74,7 +74,7 @@ func BenchmarkPartitionRect(b *testing.B) {
 	prog := looppart.MustParse(paperex.Example8, map[string]int64{"N": 96})
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := prog.Partition(64, looppart.Rect); err != nil {
+		if _, err := prog.Partition(context.Background(), 64, looppart.Rect); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -84,7 +84,7 @@ func BenchmarkPartitionAuto(b *testing.B) {
 	prog := looppart.MustParse(paperex.Example2, nil)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := prog.Partition(100, looppart.Auto); err != nil {
+		if _, err := prog.Partition(context.Background(), 100, looppart.Auto); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -92,7 +92,7 @@ func BenchmarkPartitionAuto(b *testing.B) {
 
 func BenchmarkSimulateExample2(b *testing.B) {
 	prog := looppart.MustParse(paperex.Example2, nil)
-	plan, err := prog.Partition(100, looppart.Columns)
+	plan, err := prog.Partition(context.Background(), 100, looppart.Columns)
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -106,7 +106,7 @@ func BenchmarkSimulateExample2(b *testing.B) {
 
 func BenchmarkExecuteMatmul(b *testing.B) {
 	prog := looppart.MustParse(paperex.MatmulSync, map[string]int64{"N": 16})
-	plan, err := prog.Partition(4, looppart.Blocks)
+	plan, err := prog.Partition(context.Background(), 4, looppart.Blocks)
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -138,7 +138,7 @@ func BenchmarkRectSearch(b *testing.B) {
 		b.Run(fmt.Sprintf("P=%d", procs), func(b *testing.B) {
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
-				if _, err := partition.OptimizeRect(a, procs); err != nil {
+				if _, err := partition.OptimizeRect(context.Background(), a, procs); err != nil {
 					b.Fatal(err)
 				}
 			}
@@ -152,7 +152,7 @@ func BenchmarkSkewSearch(b *testing.B) {
 		b.Run(fmt.Sprintf("P=%d", procs), func(b *testing.B) {
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
-				if _, err := partition.OptimizeSkew(a, procs, 2); err != nil {
+				if _, err := partition.OptimizeSkew(context.Background(), a, procs, 2); err != nil {
 					b.Fatal(err)
 				}
 			}
@@ -162,7 +162,7 @@ func BenchmarkSkewSearch(b *testing.B) {
 
 func BenchmarkCachesimReplay(b *testing.B) {
 	prog := looppart.MustParse(paperex.Example2, nil)
-	plan, err := prog.Partition(100, looppart.Columns)
+	plan, err := prog.Partition(context.Background(), 100, looppart.Columns)
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -191,14 +191,14 @@ enddoall
 // space only), which is the point of the closed-form path.
 func BenchmarkCommSetsAnalyze(b *testing.B) {
 	prog := looppart.MustParse(benchCommNest, map[string]int64{"N": 512})
-	plan, err := prog.Partition(64, looppart.Rect)
+	plan, err := prog.Partition(context.Background(), 64, looppart.Rect)
 	if err != nil {
 		b.Fatal(err)
 	}
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		comm, err := plan.CommSets(commsets.Options{})
+		comm, err := plan.CommSets(context.Background(), commsets.Options{})
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -234,7 +234,7 @@ func BenchmarkLowerBound(b *testing.B) {
 // exact transfer sets, and the value check against the sequential run.
 func BenchmarkMsgexecRun(b *testing.B) {
 	prog := looppart.MustParse(benchCommNest, map[string]int64{"N": 64})
-	plan, err := prog.Partition(8, looppart.Rect)
+	plan, err := prog.Partition(context.Background(), 8, looppart.Rect)
 	if err != nil {
 		b.Fatal(err)
 	}

@@ -57,19 +57,6 @@ func (p paramFlags) Set(s string) error {
 	return nil
 }
 
-var strategies = map[string]looppart.Strategy{
-	"auto":          looppart.Auto,
-	"rect":          looppart.Rect,
-	"skewed":        looppart.Skewed,
-	"comm-free":     looppart.CommFree,
-	"rows":          looppart.Rows,
-	"columns":       looppart.Columns,
-	"blocks":        looppart.Blocks,
-	"abraham-hudak": looppart.AbrahamHudak,
-	"lowerbound":    looppart.LowerBound,
-	"oblivious":     looppart.Oblivious,
-}
-
 func main() {
 	if err := run(os.Args[1:], os.Stdout); err != nil {
 		fmt.Fprintln(os.Stderr, "looppart:", err)
@@ -97,7 +84,7 @@ func run(args []string, out io.Writer) error {
 	if err != nil {
 		return err
 	}
-	strategy, ok := strategies[*strategyName]
+	strategy, ok := looppart.ParseStrategy(*strategyName)
 	if !ok {
 		return fmt.Errorf("unknown strategy %q", *strategyName)
 	}
@@ -123,7 +110,7 @@ func run(args []string, out io.Writer) error {
 	fmt.Fprintln(out, "\n=== analysis ===")
 	fmt.Fprint(out, prog.Report().String())
 
-	plan, err := prog.Partition(*procs, strategy)
+	plan, err := prog.Partition(context.Background(), *procs, strategy)
 	if err != nil {
 		return err
 	}

@@ -23,6 +23,7 @@
 package main
 
 import (
+	"context"
 	"flag"
 	"fmt"
 	"io"
@@ -111,7 +112,7 @@ func run(args []string, out io.Writer) error {
 		looppart.Rows, looppart.Columns, looppart.Blocks,
 		looppart.Rect, looppart.Skewed, looppart.CommFree,
 	} {
-		plan, err := prog.Partition(*procs, s)
+		plan, err := prog.Partition(context.Background(), *procs, s)
 		if err != nil {
 			fmt.Fprintf(w, "%s\t—\t%v\n", s, err)
 			continue
@@ -134,11 +135,11 @@ func run(args []string, out io.Writer) error {
 
 	if *commsetsFlag {
 		for _, s := range []looppart.Strategy{looppart.Rect, looppart.CommFree} {
-			plan, err := prog.Partition(*procs, s)
+			plan, err := prog.Partition(context.Background(), *procs, s)
 			if err != nil {
 				continue
 			}
-			comm, err := plan.CommSets(commsets.Options{Materialize: true})
+			comm, err := plan.CommSets(context.Background(), commsets.Options{Materialize: true})
 			if err != nil {
 				fmt.Fprintf(out, "\ncommunication sets (%s): %v\n", s, err)
 				continue
@@ -158,7 +159,7 @@ func run(args []string, out io.Writer) error {
 	}
 
 	if *mesh {
-		plan, err := prog.Partition(*procs, looppart.Rect)
+		plan, err := prog.Partition(context.Background(), *procs, looppart.Rect)
 		if err != nil {
 			return err
 		}

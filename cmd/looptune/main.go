@@ -11,7 +11,7 @@
 // Flags:
 //
 //	-procs P        number of processors (default 16)
-//	-strategy S     rect | skewed (default rect)
+//	-strategy S     rect | skewed | lowerbound (default rect)
 //	-k K            tournament size: top-K analytic candidates (default 4)
 //	-maxskew M      skew entry bound for -strategy skewed (default 3)
 //	-cache-lines N  finite simulated caches of N lines (0 = infinite)
@@ -73,7 +73,7 @@ func main() {
 func run(args []string, out io.Writer) error {
 	fs := flag.NewFlagSet("looptune", flag.ContinueOnError)
 	procs := fs.Int("procs", 16, "number of processors")
-	strategy := fs.String("strategy", "rect", "tournament strategy: rect or skewed")
+	strategy := fs.String("strategy", "rect", "tournament strategy: rect, skewed or lowerbound")
 	k := fs.Int("k", 4, "tournament size: top-K analytic candidates")
 	maxSkew := fs.Int64("maxskew", 3, "skew entry bound for -strategy skewed")
 	cacheLines := fs.Int("cache-lines", 0, "finite simulated caches of N lines (0 = infinite)")
@@ -118,7 +118,7 @@ func run(args []string, out io.Writer) error {
 		return err
 	}
 
-	res, err := autotune.RunTournament(prog.Analysis, autotune.TournamentOptions{
+	res, err := autotune.RunTournamentCtx(context.Background(), prog.Analysis, autotune.TournamentOptions{
 		Procs:       *procs,
 		Strategy:    *strategy,
 		K:           *k,

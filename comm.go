@@ -12,14 +12,9 @@ import (
 // every uniformly intersecting reference class, which elements each
 // processor produces that other processors consume, with exact counts
 // (internal/commsets). Materialize in opts to also get the element
-// lists (needed to drive the message-passing executor).
-func (p *Plan) CommSets(opts commsets.Options) (*commsets.Analysis, error) {
-	return p.CommSetsCtx(context.Background(), opts)
-}
-
-// CommSetsCtx is CommSets with request-scoped tracing: when ctx carries
+// lists (needed to drive the message-passing executor). When ctx carries
 // an obs.Trace, the analysis records a "commsets.analyze" span.
-func (p *Plan) CommSetsCtx(ctx context.Context, opts commsets.Options) (*commsets.Analysis, error) {
+func (p *Plan) CommSets(ctx context.Context, opts commsets.Options) (*commsets.Analysis, error) {
 	if !p.Concrete() {
 		return nil, p.errSymbolicPlan()
 	}
@@ -37,7 +32,7 @@ func (p *Plan) CommSetsCtx(ctx context.Context, opts commsets.Options) (*commset
 // service attaches to PlanResult when communication certification is
 // enabled.
 func (p *Plan) CommSummary(ctx context.Context) (*commsets.Summary, error) {
-	a, err := p.CommSetsCtx(ctx, commsets.Options{})
+	a, err := p.CommSets(ctx, commsets.Options{})
 	if err != nil {
 		return nil, err
 	}
@@ -51,7 +46,7 @@ func (p *Plan) CommSummary(ctx context.Context) (*commsets.Summary, error) {
 // count (Run errors if it disagrees with the prediction) and whether
 // the final state was verified against the sequential execution.
 func (p *Plan) ExecuteMessagePassing() (*msgexec.Report, error) {
-	comm, err := p.CommSets(commsets.Options{Materialize: true})
+	comm, err := p.CommSets(context.Background(), commsets.Options{Materialize: true})
 	if err != nil {
 		return nil, err
 	}

@@ -9,6 +9,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 
@@ -27,7 +28,7 @@ enddoall`
 	if err != nil {
 		log.Fatal(err)
 	}
-	plan, err := prog.Partition(16, looppart.Rect)
+	plan, err := prog.Partition(context.Background(), 16, looppart.Rect)
 	if err != nil {
 		log.Fatal(err)
 	}

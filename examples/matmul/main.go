@@ -8,6 +8,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 
@@ -39,7 +40,7 @@ enddoall`
 
 	fmt.Println("\ntile shapes for P=8 (simulated, atomic refs cost extra):")
 	for _, s := range []looppart.Strategy{looppart.Rows, looppart.Rect} {
-		plan, err := prog.Partition(8, s)
+		plan, err := prog.Partition(context.Background(), 8, s)
 		if err != nil {
 			log.Fatal(err)
 		}
@@ -51,7 +52,7 @@ enddoall`
 	}
 
 	// Execute in parallel and verify against the sequential semantics.
-	plan, err := prog.Partition(8, looppart.Rect)
+	plan, err := prog.Partition(context.Background(), 8, looppart.Rect)
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -9,6 +9,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 
@@ -36,7 +37,7 @@ enddoall`
 	fmt.Print(prog.Report())
 
 	fmt.Println("\n── stage 3: loop partitioning (P=16) ──")
-	plan, err := prog.Partition(16, looppart.Rect)
+	plan, err := prog.Partition(context.Background(), 16, looppart.Rect)
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -7,6 +7,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 
@@ -33,7 +34,7 @@ enddoall`
 
 	// Partition for 100 processors. Auto discovers that column strips
 	// (partition a of the paper's Figure 3) are communication-free.
-	plan, err := prog.Partition(100, looppart.Auto)
+	plan, err := prog.Partition(context.Background(), 100, looppart.Auto)
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -42,7 +43,7 @@ enddoall`
 	// Validate on the simulator: the paper's numbers are 104 B-misses
 	// per tile for column strips vs 140 for 10×10 blocks.
 	for _, s := range []looppart.Strategy{looppart.Columns, looppart.Blocks} {
-		p, err := prog.Partition(100, s)
+		p, err := prog.Partition(context.Background(), 100, s)
 		if err != nil {
 			log.Fatal(err)
 		}

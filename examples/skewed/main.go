@@ -9,6 +9,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 
@@ -31,7 +32,7 @@ enddoall`
 	fmt.Println()
 
 	for _, s := range []looppart.Strategy{looppart.Rect, looppart.Skewed, looppart.CommFree} {
-		plan, err := prog.Partition(12, s)
+		plan, err := prog.Partition(context.Background(), 12, s)
 		if err != nil {
 			log.Fatal(err)
 		}

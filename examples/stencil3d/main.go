@@ -8,6 +8,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 
@@ -34,7 +35,7 @@ enddoall`
 	// Compare partition shapes for 16 processors on the simulator.
 	fmt.Println("\nshape comparison (P=16):")
 	for _, s := range []looppart.Strategy{looppart.Rows, looppart.Blocks, looppart.Rect} {
-		plan, err := prog.Partition(16, s)
+		plan, err := prog.Partition(context.Background(), 16, s)
 		if err != nil {
 			log.Fatal(err)
 		}
@@ -47,7 +48,7 @@ enddoall`
 	}
 
 	// Execute the optimal plan for real on goroutines.
-	plan, err := prog.Partition(16, looppart.Rect)
+	plan, err := prog.Partition(context.Background(), 16, looppart.Rect)
 	if err != nil {
 		log.Fatal(err)
 	}

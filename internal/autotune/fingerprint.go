@@ -7,7 +7,7 @@
 //   - Calibrate fits those constants to the executing machine by running
 //     microbenchmarks through the cache simulator (and, in host mode, a
 //     wall-clock stride probe), producing a versioned Fingerprint;
-//   - RunTournament replays the search's top-K candidate plans through the
+//   - RunTournamentCtx replays the search's top-K candidate plans through the
 //     simulator under the calibrated constants and selects the measured
 //     winner, recording predicted-vs-measured deltas as decision-trace
 //     events;

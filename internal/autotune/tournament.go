@@ -19,7 +19,7 @@ import (
 	"looppart/internal/tile"
 )
 
-// TournamentOptions parameterizes RunTournament.
+// TournamentOptions parameterizes RunTournamentCtx.
 type TournamentOptions struct {
 	// Procs is the processor count to partition for.
 	Procs int
@@ -149,21 +149,18 @@ func (r *Result) Report() string {
 	return b.String()
 }
 
-// RunTournament surfaces the top-K candidate plans of the analytic
+// RunTournamentCtx surfaces the top-K candidate plans of the analytic
 // search, replays each through the cache simulator under the calibrated
 // cost model, and returns the measured ranking. Candidate 0 is always the
 // plan the pure-analytic pipeline would pick, and ties break toward it —
 // so the winner's measured miss count is ≤ the analytic plan's by
 // construction, and autotuning can only confirm or improve, never
 // regress.
-func RunTournament(a *footprint.Analysis, opts TournamentOptions) (*Result, error) {
-	return RunTournamentCtx(context.Background(), a, opts)
-}
-
-// RunTournamentCtx is RunTournament with request-scoped tracing: when ctx
-// carries an obs.Trace, the measured replays run under a "tournament" span
-// recording the candidate count, winner rank, and measured misses, and the
-// underlying top-K analytic search contributes its own search spans.
+//
+// When ctx carries an obs.Trace, the measured replays run under a
+// "tournament" span recording the candidate count, winner rank, and
+// measured misses, and the underlying top-K analytic search contributes
+// its own search spans.
 func RunTournamentCtx(ctx context.Context, a *footprint.Analysis, opts TournamentOptions) (*Result, error) {
 	if opts.Procs <= 0 {
 		return nil, fmt.Errorf("autotune: need at least one processor")
@@ -277,7 +274,7 @@ func RunTournamentCtx(ctx context.Context, a *footprint.Analysis, opts Tournamen
 		// Exact communication words per epoch, the second cost axis.
 		// Best-effort: a candidate whose comm sets cannot be computed
 		// still contests on misses.
-		if comm, err := commsets.Compute(commsets.Spec{
+		if comm, err := commsets.ComputeCtx(ctx, commsets.Spec{
 			Analysis: a, Space: space, Procs: opts.Procs, Tile: &tl, Assign: assign,
 		}, commsets.Options{}); err == nil {
 			c.CommWords = comm.TotalWords

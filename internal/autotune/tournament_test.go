@@ -1,6 +1,7 @@
 package autotune
 
 import (
+	"context"
 	"strings"
 	"testing"
 
@@ -28,7 +29,7 @@ func TestTournamentWinnerNeverWorseThanAnalytic(t *testing.T) {
 	params := map[string]int64{"N": 12, "T": 2}
 	for name, src := range paperex.All {
 		a := analysisFor(t, src, params)
-		res, err := RunTournament(a, TournamentOptions{Procs: 4, K: 4})
+		res, err := RunTournamentCtx(context.Background(), a, TournamentOptions{Procs: 4, K: 4})
 		if err != nil {
 			t.Fatalf("%s: %v", name, err)
 		}
@@ -44,11 +45,11 @@ func TestTournamentWinnerNeverWorseThanAnalytic(t *testing.T) {
 
 func TestTournamentCandidateZeroIsArgmin(t *testing.T) {
 	a := analysisFor(t, paperex.Example8, map[string]int64{"N": 24})
-	argmin, err := partition.OptimizeRect(a, 8)
+	argmin, err := partition.OptimizeRect(context.Background(), a, 8)
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := RunTournament(a, TournamentOptions{Procs: 8, K: 4})
+	res, err := RunTournamentCtx(context.Background(), a, TournamentOptions{Procs: 8, K: 4})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -87,7 +88,7 @@ func TestTournamentDeterministic(t *testing.T) {
 	a := analysisFor(t, paperex.Example9, map[string]int64{"N": 16})
 	var first *Result
 	for i := 0; i < 3; i++ {
-		res, err := RunTournament(a, TournamentOptions{Procs: 4, K: 3})
+		res, err := RunTournamentCtx(context.Background(), a, TournamentOptions{Procs: 4, K: 3})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -110,14 +111,14 @@ func TestTournamentDeterministic(t *testing.T) {
 
 func TestTournamentSkewStrategy(t *testing.T) {
 	a := analysisFor(t, paperex.Example3, map[string]int64{"N": 16})
-	res, err := RunTournament(a, TournamentOptions{Procs: 4, Strategy: "skewed", K: 3})
+	res, err := RunTournamentCtx(context.Background(), a, TournamentOptions{Procs: 4, Strategy: "skewed", K: 3})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if res.Strategy != "skewed" || len(res.Candidates) == 0 {
 		t.Fatalf("unexpected result %+v", res)
 	}
-	argmin, err := partition.OptimizeSkew(a, 4, 3)
+	argmin, err := partition.OptimizeSkew(context.Background(), a, 4, 3)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -130,11 +131,11 @@ func TestTournamentLineGranularity(t *testing.T) {
 	a := analysisFor(t, paperex.Example8, map[string]int64{"N": 16})
 	fp := ModelFingerprint()
 	fp.LineElems = 4
-	unit, err := RunTournament(a, TournamentOptions{Procs: 4, K: 2})
+	unit, err := RunTournamentCtx(context.Background(), a, TournamentOptions{Procs: 4, K: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
-	lined, err := RunTournament(a, TournamentOptions{Procs: 4, K: 2, Fingerprint: fp})
+	lined, err := RunTournamentCtx(context.Background(), a, TournamentOptions{Procs: 4, K: 2, Fingerprint: fp})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -146,7 +147,7 @@ func TestTournamentLineGranularity(t *testing.T) {
 
 func TestTournamentExecAndReport(t *testing.T) {
 	a := analysisFor(t, paperex.Example8, map[string]int64{"N": 8})
-	res, err := RunTournament(a, TournamentOptions{Procs: 2, K: 2, Exec: true})
+	res, err := RunTournamentCtx(context.Background(), a, TournamentOptions{Procs: 2, K: 2, Exec: true})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -176,7 +177,7 @@ func TestTournamentEmitsDecisionTrace(t *testing.T) {
 	defer telemetry.SetActive(prev)
 
 	a := analysisFor(t, paperex.Example8, map[string]int64{"N": 8})
-	if _, err := RunTournament(a, TournamentOptions{Procs: 2, K: 2}); err != nil {
+	if _, err := RunTournamentCtx(context.Background(), a, TournamentOptions{Procs: 2, K: 2}); err != nil {
 		t.Fatal(err)
 	}
 	var cand, chosen int
@@ -195,10 +196,10 @@ func TestTournamentEmitsDecisionTrace(t *testing.T) {
 
 func TestTournamentErrors(t *testing.T) {
 	a := analysisFor(t, paperex.Example2, nil)
-	if _, err := RunTournament(a, TournamentOptions{Procs: 0}); err == nil {
+	if _, err := RunTournamentCtx(context.Background(), a, TournamentOptions{Procs: 0}); err == nil {
 		t.Error("procs=0 accepted")
 	}
-	if _, err := RunTournament(a, TournamentOptions{Procs: 4, Strategy: "diagonal"}); err == nil {
+	if _, err := RunTournamentCtx(context.Background(), a, TournamentOptions{Procs: 4, Strategy: "diagonal"}); err == nil {
 		t.Error("unknown strategy accepted")
 	}
 }

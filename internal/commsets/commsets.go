@@ -176,13 +176,8 @@ func (a *Analysis) CanCheckValues() bool {
 	return a.UniqueWrite && !a.CrossClassHazard && !a.BackwardRAW
 }
 
-// Compute builds the communication sets for a plan.
-func Compute(spec Spec, opts Options) (*Analysis, error) {
-	return ComputeCtx(context.Background(), spec, opts)
-}
-
-// ComputeCtx is Compute with request-scoped tracing: when ctx carries an
-// obs.Trace, the computation records a "commsets.analyze" span.
+// ComputeCtx builds the communication sets for a plan. When ctx carries
+// an obs.Trace, the computation records a "commsets.analyze" span.
 func ComputeCtx(ctx context.Context, spec Spec, opts Options) (*Analysis, error) {
 	_, sp := obs.StartSpan(ctx, "commsets.analyze")
 	defer sp.End()

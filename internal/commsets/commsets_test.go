@@ -1,6 +1,7 @@
 package commsets
 
 import (
+	"context"
 	"reflect"
 	"testing"
 
@@ -63,7 +64,7 @@ enddoall
 `
 	t.Run("splitI", func(t *testing.T) {
 		spec := fixture(t, src, tile.Rect(5, 10), 2)
-		a, err := Compute(spec, Options{})
+		a, err := ComputeCtx(context.Background(), spec, Options{})
 		if err != nil {
 			t.Fatalf("%v", err)
 		}
@@ -83,7 +84,7 @@ enddoall
 	})
 	t.Run("splitJ", func(t *testing.T) {
 		spec := fixture(t, src, tile.Rect(10, 5), 2)
-		a, err := Compute(spec, Options{})
+		a, err := ComputeCtx(context.Background(), spec, Options{})
 		if err != nil {
 			t.Fatalf("%v", err)
 		}
@@ -107,7 +108,7 @@ doall (i, 1, 8)
 enddoall
 `
 	spec := fixture(t, src, tile.Rect(4, 4), 4)
-	a, err := Compute(spec, Options{Materialize: true})
+	a, err := ComputeCtx(context.Background(), spec, Options{Materialize: true})
 	if err != nil {
 		t.Fatalf("%v", err)
 	}
@@ -165,13 +166,13 @@ func TestEnginesAgree(t *testing.T) {
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
 			spec := fixture(t, tc.src, tc.tl, tc.procs)
-			analytic, err := Compute(spec, Options{Materialize: true})
+			analytic, err := ComputeCtx(context.Background(), spec, Options{Materialize: true})
 			if err != nil {
 				t.Fatalf("analytic: %v", err)
 			}
 			scanSpec := spec
 			scanSpec.Tile = nil
-			scan, err := Compute(scanSpec, Options{Materialize: true})
+			scan, err := ComputeCtx(context.Background(), scanSpec, Options{Materialize: true})
 			if err != nil {
 				t.Fatalf("scan: %v", err)
 			}
@@ -225,7 +226,7 @@ func TestEnginesAgree(t *testing.T) {
 // while the transfer counts themselves stay exact.
 func TestBackwardRAWDetected(t *testing.T) {
 	spec := fixture(t, "doall (i, 0, 15) A[i] = A[i - 1] + 1 enddoall", tile.Rect(4), 4)
-	a, err := Compute(spec, Options{})
+	a, err := ComputeCtx(context.Background(), spec, Options{})
 	if err != nil {
 		t.Fatalf("%v", err)
 	}
@@ -250,7 +251,7 @@ func TestNonUniqueWriteDetected(t *testing.T) {
 	// A[i] and A[i+1] both written: element i+1 is written by iterations
 	// i+1 and i — two producers.
 	spec := fixture(t, "doall (i, 0, 15) A[i] = A[i + 1] + 1 enddoall", tile.Rect(4), 4)
-	a, err := Compute(spec, Options{})
+	a, err := ComputeCtx(context.Background(), spec, Options{})
 	if err != nil {
 		t.Fatalf("%v", err)
 	}
@@ -259,7 +260,7 @@ func TestNonUniqueWriteDetected(t *testing.T) {
 	}
 
 	spec2 := fixture(t, "doall (i, 0, 15) doall (j, 0, 3) A[i + j] = B[i] + 1 enddoall enddoall", tile.Rect(4, 4), 4)
-	a2, err := Compute(spec2, Options{})
+	a2, err := ComputeCtx(context.Background(), spec2, Options{})
 	if err != nil {
 		t.Fatalf("%v", err)
 	}
@@ -278,7 +279,7 @@ func TestNonUniqueWriteDetected(t *testing.T) {
 // TestTable pins the human-readable rendering loopsim prints.
 func TestTable(t *testing.T) {
 	spec := fixture(t, "doall (i, 0, 9) A[i] = A[i + 2] + 1 enddoall", tile.Rect(5), 2)
-	a, err := Compute(spec, Options{})
+	a, err := ComputeCtx(context.Background(), spec, Options{})
 	if err != nil {
 		t.Fatalf("%v", err)
 	}

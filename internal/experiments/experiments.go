@@ -6,6 +6,7 @@
 package experiments
 
 import (
+	"context"
 	"fmt"
 	"math"
 	"strings"
@@ -180,7 +181,7 @@ func E1() Result {
 	fpA, _ := bClass.RectFootprint([]int64{100, 1})
 	fpB, _ := bClass.RectFootprint([]int64{10, 10})
 
-	cols, err := prog.Partition(100, looppart.Columns)
+	cols, err := prog.Partition(context.Background(), 100, looppart.Columns)
 	if err != nil {
 		return errResult(id, title, claim, err)
 	}
@@ -188,7 +189,7 @@ func E1() Result {
 	if err != nil {
 		return errResult(id, title, claim, err)
 	}
-	blocks, err := prog.Partition(100, looppart.Blocks)
+	blocks, err := prog.Partition(context.Background(), 100, looppart.Blocks)
 	if err != nil {
 		return errResult(id, title, claim, err)
 	}
@@ -220,11 +221,11 @@ func E2() Result {
 	if err != nil {
 		return errResult(id, title, claim, err)
 	}
-	skew, err := prog.Partition(8, looppart.Skewed)
+	skew, err := prog.Partition(context.Background(), 8, looppart.Skewed)
 	if err != nil {
 		return errResult(id, title, claim, err)
 	}
-	rect, err := prog.Partition(8, looppart.Rect)
+	rect, err := prog.Partition(context.Background(), 8, looppart.Rect)
 	if err != nil {
 		return errResult(id, title, claim, err)
 	}
@@ -334,15 +335,15 @@ func E5() Result {
 	if !ok {
 		return errResult(id, title, claim, fmt.Errorf("no closed form"))
 	}
-	opt, err := prog.Partition(8, looppart.Rect)
+	opt, err := prog.Partition(context.Background(), 8, looppart.Rect)
 	if err != nil {
 		return errResult(id, title, claim, err)
 	}
-	blocks, err := prog.Partition(8, looppart.Blocks)
+	blocks, err := prog.Partition(context.Background(), 8, looppart.Blocks)
 	if err != nil {
 		return errResult(id, title, claim, err)
 	}
-	rows8, err := prog.Partition(8, looppart.Rows)
+	rows8, err := prog.Partition(context.Background(), 8, looppart.Rows)
 	if err != nil {
 		return errResult(id, title, claim, err)
 	}
@@ -383,7 +384,7 @@ func E6() Result {
 	}
 	// Compare the optimal-shape tiles against slab tiles of equal volume.
 	simShape := func(s looppart.Strategy) (float64, float64, error) {
-		plan, err := prog.Partition(8, s)
+		plan, err := prog.Partition(context.Background(), 8, s)
 		if err != nil {
 			return 0, 0, err
 		}
@@ -424,7 +425,7 @@ func E7() Result {
 	if !ok {
 		return errResult(id, title, claim, fmt.Errorf("no closed form"))
 	}
-	plan, err := prog.Partition(8, looppart.Rect)
+	plan, err := prog.Partition(context.Background(), 8, looppart.Rect)
 	if err != nil {
 		return errResult(id, title, claim, err)
 	}
@@ -492,7 +493,7 @@ func E8() Result {
 			pass = false
 		}
 	}
-	plan, err := prog.Partition(6, looppart.Rect)
+	plan, err := prog.Partition(context.Background(), 6, looppart.Rect)
 	if err != nil {
 		return errResult(id, title, claim, err)
 	}
@@ -572,7 +573,7 @@ func E10() Result {
 		if err != nil {
 			return errResult(id, title, claim, err)
 		}
-		plan, err := prog.Partition(10, looppart.CommFree)
+		plan, err := prog.Partition(context.Background(), 10, looppart.CommFree)
 		found := err == nil
 		note := "not found"
 		shared := float64(-1)
@@ -606,7 +607,7 @@ func E11() Result {
 		return errResult(id, title, claim, err)
 	}
 	sim := func(s looppart.Strategy) (looppart.Plan, float64, float64, error) {
-		plan, err := prog.Partition(8, s)
+		plan, err := prog.Partition(context.Background(), 8, s)
 		if err != nil {
 			return looppart.Plan{}, 0, 0, err
 		}
@@ -643,7 +644,7 @@ func E12() Result {
 	if err != nil {
 		return errResult(id, title, claim, err)
 	}
-	plan, err := prog.Partition(8, looppart.Rect)
+	plan, err := prog.Partition(context.Background(), 8, looppart.Rect)
 	if err != nil {
 		return errResult(id, title, claim, err)
 	}
@@ -738,7 +739,7 @@ enddoall`
 	if err != nil {
 		return errResult(id, title, claim, err)
 	}
-	ours, err := partition.OptimizeRect(prog.Analysis, 8)
+	ours, err := partition.OptimizeRect(context.Background(), prog.Analysis, 8)
 	if err != nil {
 		return errResult(id, title, claim, err)
 	}
@@ -755,7 +756,7 @@ enddoall`
 		return errResult(id, title, claim, err)
 	}
 	_, errAH := partition.AbrahamHudak(prog6.Analysis, 10)
-	_, errOurs := partition.OptimizeRect(prog6.Analysis, 10)
+	_, errOurs := partition.OptimizeRect(context.Background(), prog6.Analysis, 10)
 	return Result{
 		ID: id, Title: title, Paper: claim,
 		Rows: []Row{

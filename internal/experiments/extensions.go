@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"context"
 	"fmt"
 
 	"looppart"
@@ -413,7 +414,7 @@ func E21() Result {
 		return m.Finish(), nil
 	}
 
-	plan, err := prog.Partition(procs, looppart.Rect)
+	plan, err := prog.Partition(context.Background(), procs, looppart.Rect)
 	if err != nil {
 		return errResult(id, title, claim, err)
 	}

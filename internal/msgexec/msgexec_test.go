@@ -1,6 +1,7 @@
 package msgexec
 
 import (
+	"context"
 	"testing"
 
 	"looppart/internal/commsets"
@@ -31,7 +32,7 @@ func plan(t *testing.T, src string, tl tile.Tile, procs int) (*loopir.Nest, func
 		t.Fatalf("assign: %v", err)
 	}
 	spec := commsets.Spec{Analysis: a, Space: space, Procs: procs, Tile: &tl, Assign: asg.ProcOf}
-	comm, err := commsets.Compute(spec, commsets.Options{Materialize: true})
+	comm, err := commsets.ComputeCtx(context.Background(), spec, commsets.Options{Materialize: true})
 	if err != nil {
 		t.Fatalf("commsets: %v", err)
 	}
@@ -138,7 +139,7 @@ func TestRunRequiresMaterialized(t *testing.T) {
 	if err != nil {
 		t.Fatalf("assign: %v", err)
 	}
-	comm, err := commsets.Compute(commsets.Spec{Analysis: a, Space: space, Procs: 4, Tile: &tl, Assign: asg.ProcOf}, commsets.Options{})
+	comm, err := commsets.ComputeCtx(context.Background(), commsets.Spec{Analysis: a, Space: space, Procs: 4, Tile: &tl, Assign: asg.ProcOf}, commsets.Options{})
 	if err != nil {
 		t.Fatalf("commsets: %v", err)
 	}

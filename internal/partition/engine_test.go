@@ -1,6 +1,7 @@
 package partition
 
 import (
+	"context"
 	"reflect"
 	"runtime"
 	"testing"
@@ -82,25 +83,25 @@ func TestSearchDeterministicAcrossPoolSizes(t *testing.T) {
 
 			prev := SetSearchWorkers(1)
 			defer SetSearchWorkers(prev)
-			rectSeq, err := OptimizeRect(a, tc.procs)
+			rectSeq, err := OptimizeRect(context.Background(), a, tc.procs)
 			if err != nil {
 				t.Fatal(err)
 			}
-			skewSeq, err := OptimizeSkew(a, tc.procs, 2)
+			skewSeq, err := OptimizeSkew(context.Background(), a, tc.procs, 2)
 			if err != nil {
 				t.Fatal(err)
 			}
 
 			for _, workers := range []int{8, runtime.GOMAXPROCS(0)} {
 				SetSearchWorkers(workers)
-				rect, err := OptimizeRect(a, tc.procs)
+				rect, err := OptimizeRect(context.Background(), a, tc.procs)
 				if err != nil {
 					t.Fatal(err)
 				}
 				if !reflect.DeepEqual(rect, rectSeq) {
 					t.Errorf("workers=%d: OptimizeRect = %+v, sequential %+v", workers, rect, rectSeq)
 				}
-				skew, err := OptimizeSkew(a, tc.procs, 2)
+				skew, err := OptimizeSkew(context.Background(), a, tc.procs, 2)
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -120,21 +121,21 @@ func TestPruningDoesNotChangePlan(t *testing.T) {
 			a := analyze(t, tc.src, tc.params)
 
 			pruneDisabled.Store(true)
-			rectFull, err1 := OptimizeRect(a, tc.procs)
-			skewFull, err2 := OptimizeSkew(a, tc.procs, 2)
+			rectFull, err1 := OptimizeRect(context.Background(), a, tc.procs)
+			skewFull, err2 := OptimizeSkew(context.Background(), a, tc.procs, 2)
 			pruneDisabled.Store(false)
 			if err1 != nil || err2 != nil {
 				t.Fatal(err1, err2)
 			}
 
-			rect, err := OptimizeRect(a, tc.procs)
+			rect, err := OptimizeRect(context.Background(), a, tc.procs)
 			if err != nil {
 				t.Fatal(err)
 			}
 			if !reflect.DeepEqual(rect, rectFull) {
 				t.Errorf("pruned OptimizeRect = %+v, unpruned %+v", rect, rectFull)
 			}
-			skew, err := OptimizeSkew(a, tc.procs, 2)
+			skew, err := OptimizeSkew(context.Background(), a, tc.procs, 2)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -156,7 +157,7 @@ func TestSkewChosenCandidatesPerRun(t *testing.T) {
 
 	counts := make([]int64, 0, 2)
 	for run := 0; run < 2; run++ {
-		if _, err := OptimizeSkew(a, 4, 2); err != nil {
+		if _, err := OptimizeSkew(context.Background(), a, 4, 2); err != nil {
 			t.Fatal(err)
 		}
 		events := reg.EventsOfKind("partition.skew.chosen")
@@ -185,7 +186,7 @@ func TestRectChosenReportsPruning(t *testing.T) {
 	prev := telemetry.SetActive(reg)
 	defer telemetry.SetActive(prev)
 
-	if _, err := OptimizeRect(a, 64); err != nil {
+	if _, err := OptimizeRect(context.Background(), a, 64); err != nil {
 		t.Fatal(err)
 	}
 	events := reg.EventsOfKind("partition.rect.chosen")
@@ -212,10 +213,10 @@ func TestOptimizersSilentWithoutTelemetry(t *testing.T) {
 		t.Fatal("test requires no active registry")
 	}
 	a := analyze(t, paperex.Example8, map[string]int64{"N": 24})
-	if _, err := OptimizeRect(a, 8); err != nil {
+	if _, err := OptimizeRect(context.Background(), a, 8); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := OptimizeSkew(a, 8, 2); err != nil {
+	if _, err := OptimizeSkew(context.Background(), a, 8, 2); err != nil {
 		t.Fatal(err)
 	}
 	if _, err := OptimizeRectLines(a, 8, 4); err != nil {

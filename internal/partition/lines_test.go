@@ -1,6 +1,7 @@
 package partition
 
 import (
+	"context"
 	"testing"
 
 	"looppart/internal/layout"
@@ -20,7 +21,7 @@ doall (i, 1, 32)
   enddoall
 enddoall`
 	a := analyze(t, src, nil)
-	plain, err := OptimizeRect(a, 16)
+	plain, err := OptimizeRect(context.Background(), a, 16)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -306,14 +306,7 @@ func (lowerBoundFamily) Optimize(ctx context.Context, a *footprint.Analysis, pro
 		// to the footprint-optimal rectangle rather than pick arbitrarily.
 		return rectFamily{}.Optimize(ctx, a, procs)
 	}
-	p := lbRectPlan(a, lb)
-	t := p.Tile()
-	return &FamilyPlan{
-		Tile:               &t,
-		PredictedFootprint: p.PredictedFootprint,
-		PredictedTraffic:   p.PredictedTraffic,
-		Exactness:          p.Exactness,
-	}, nil
+	return rectResult(lbRectPlan(a, lb), nil)
 }
 
 // TopK returns the rect family's ranked candidates with the comm-optimal
@@ -334,14 +327,7 @@ func (lowerBoundFamily) TopK(a *footprint.Analysis, procs, k int, opt TopKOption
 			return out, nil
 		}
 	}
-	p := lbRectPlan(a, lb)
-	t := p.Tile()
-	return append(out, FamilyPlan{
-		Tile:               &t,
-		PredictedFootprint: p.PredictedFootprint,
-		PredictedTraffic:   p.PredictedTraffic,
-		Exactness:          p.Exactness,
-	}), nil
+	return append(out, lbRectPlan(a, lb).familyPlan()), nil
 }
 
 // lbRectPlan scores the comm-optimal grid with the standard rect model

@@ -183,19 +183,6 @@ enddoall
 	}
 }
 
-func TestFamiliesRegistered(t *testing.T) {
-	want := []string{"comm-free", "lowerbound", "oblivious", "rect", "skewed"}
-	got := Families()
-	if len(got) != len(want) {
-		t.Fatalf("Families() = %v, want %v", got, want)
-	}
-	for i := range want {
-		if got[i] != want[i] {
-			t.Fatalf("Families() = %v, want %v", got, want)
-		}
-	}
-}
-
 // The comm-optimal contestant must join the tournament candidates when
 // its extents are not already among the rect top-K.
 func TestLowerBoundTopKAppendsCommOptimal(t *testing.T) {

@@ -147,7 +147,7 @@ func (op *ObliviousPlan) String() string {
 }
 
 // obliviousFamily registers the bisection policy as a strategy.
-type obliviousFamily struct{}
+type obliviousFamily struct{ noTopK }
 
 func (obliviousFamily) Name() string { return "oblivious" }
 
@@ -157,10 +157,6 @@ func (obliviousFamily) Optimize(_ context.Context, a *footprint.Analysis, procs 
 		return nil, err
 	}
 	return &FamilyPlan{Oblivious: op}, nil
-}
-
-func (obliviousFamily) TopK(a *footprint.Analysis, procs, k int, _ TopKOptions) ([]FamilyPlan, error) {
-	return nil, ErrNoTopK
 }
 
 func init() {

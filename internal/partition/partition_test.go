@@ -1,6 +1,7 @@
 package partition
 
 import (
+	"context"
 	"math"
 	"testing"
 
@@ -53,7 +54,7 @@ func TestContinuousRatiosExample10(t *testing.T) {
 func TestOptimizeRectExample8Ratios(t *testing.T) {
 	// N=96, P=16: the optimizer should pick extents close to 2:3:4.
 	a := analyze(t, paperex.Example8, map[string]int64{"N": 96})
-	plan, err := OptimizeRect(a, 16)
+	plan, err := OptimizeRect(context.Background(), a, 16)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -85,7 +86,7 @@ func TestOptimizeRectExample2PrefersColumns(t *testing.T) {
 	// Example 2 / Figure 3: the 100×1 strip partition (one full-i column
 	// strip per processor) beats 10×10 blocks: 104 vs 140 B-misses.
 	a := analyze(t, paperex.Example2, nil)
-	plan, err := OptimizeRect(a, 100)
+	plan, err := OptimizeRect(context.Background(), a, 100)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -103,10 +104,10 @@ func TestOptimizeRectExample2PrefersColumns(t *testing.T) {
 
 func TestOptimizeRectInfeasible(t *testing.T) {
 	a := analyze(t, `doall (i, 1, 4) A[i] = A[i+1] enddoall`, nil)
-	if _, err := OptimizeRect(a, 8); err == nil {
+	if _, err := OptimizeRect(context.Background(), a, 8); err == nil {
 		t.Fatal("8 processors on 4 iterations should be infeasible")
 	}
-	if _, err := OptimizeRect(a, 0); err == nil {
+	if _, err := OptimizeRect(context.Background(), a, 0); err == nil {
 		t.Fatal("0 processors should error")
 	}
 }
@@ -227,7 +228,7 @@ func TestCommFreeExample10Fails(t *testing.T) {
 		t.Fatal("Example 10 should have no comm-free partition")
 	}
 	// But the footprint optimizer still returns a plan.
-	if _, err := OptimizeRect(a, 10); err != nil {
+	if _, err := OptimizeRect(context.Background(), a, 10); err != nil {
 		t.Fatal(err)
 	}
 }
@@ -269,7 +270,7 @@ enddoall`, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	ours, err := OptimizeRect(bOnly, 16)
+	ours, err := OptimizeRect(context.Background(), bOnly, 16)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -339,7 +340,7 @@ enddoall`, nil)
 func TestOptimizeSkewExample3BeatsRect(t *testing.T) {
 	// Example 3's point: parallelogram tiles beat every rectangle.
 	a := analyze(t, paperex.Example3, map[string]int64{"N": 24})
-	plan, err := OptimizeSkew(a, 8, 3)
+	plan, err := OptimizeSkew(context.Background(), a, 8, 3)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -355,11 +356,11 @@ func TestOptimizeSkewMatchesRectWhenOptimal(t *testing.T) {
 	// For Example 8 (G = I, pure stencil) no shear helps; the skew
 	// search should not beat the rectangular optimum materially.
 	a := analyze(t, paperex.Example8, map[string]int64{"N": 12})
-	rect, err := OptimizeRect(a, 8)
+	rect, err := OptimizeRect(context.Background(), a, 8)
 	if err != nil {
 		t.Fatal(err)
 	}
-	skew, err := OptimizeSkew(a, 8, 1)
+	skew, err := OptimizeSkew(context.Background(), a, 8, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -419,7 +420,7 @@ func TestOptimalityAgainstExhaustiveEnumeration(t *testing.T) {
 	// enumerate all grids and confirm OptimizeRect's choice minimizes
 	// the EXACT total footprint (model and truth agree on the argmin).
 	a := analyze(t, paperex.Example10, map[string]int64{"N": 24})
-	plan, err := OptimizeRect(a, 8)
+	plan, err := OptimizeRect(context.Background(), a, 8)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -462,7 +463,7 @@ func BenchmarkOptimizeRectExample8(b *testing.B) {
 	a := analyze(b, paperex.Example8, map[string]int64{"N": 96})
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := OptimizeRect(a, 16); err != nil {
+		if _, err := OptimizeRect(context.Background(), a, 16); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -472,7 +473,7 @@ func BenchmarkOptimizeSkewExample3(b *testing.B) {
 	a := analyze(b, paperex.Example3, map[string]int64{"N": 24})
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := OptimizeSkew(a, 8, 2); err != nil {
+		if _, err := OptimizeSkew(context.Background(), a, 8, 2); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -103,16 +103,11 @@ func ContinuousRatiosData(a *footprint.Analysis) (coeffs []float64, ok bool) {
 // model terms memoized once (footprint.Evaluator) and dominated grids
 // pruned by the admissible volume bound; the chosen plan is bit-identical
 // to a sequential scan.
-func OptimizeRect(a *footprint.Analysis, procs int) (RectPlan, error) {
-	return OptimizeRectCtx(context.Background(), a, procs)
-}
-
-// OptimizeRectCtx is OptimizeRect with request-scoped tracing: when ctx
-// carries an obs.Trace, the search runs under a "search.rect" span whose
-// attributes record the candidate grid count and the evaluated / pruned /
-// infeasible split, plus the winning grid. Without a trace it behaves
-// exactly like OptimizeRect.
-func OptimizeRectCtx(ctx context.Context, a *footprint.Analysis, procs int) (RectPlan, error) {
+//
+// When ctx carries an obs.Trace, the search runs under a "search.rect"
+// span whose attributes record the candidate grid count and the
+// evaluated / pruned / infeasible split, plus the winning grid.
+func OptimizeRect(ctx context.Context, a *footprint.Analysis, procs int) (RectPlan, error) {
 	_, sp := obs.StartSpan(ctx, "search.rect")
 	defer sp.End()
 	space := tile.BoundsOf(a.Nest)

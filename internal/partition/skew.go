@@ -140,15 +140,11 @@ func abs64(v int64) int64 {
 // entries (2 or 3 covers the paper's examples). Candidates are scored on
 // the engine's worker pool; the plan is bit-identical to a sequential
 // scan regardless of pool size.
-func OptimizeSkew(a *footprint.Analysis, procs int, maxSkew int64) (SkewPlan, error) {
-	return OptimizeSkewCtx(context.Background(), a, procs, maxSkew)
-}
-
-// OptimizeSkewCtx is OptimizeSkew with request-scoped tracing: when ctx
-// carries an obs.Trace, the search runs under a "search.skewed" span
-// recording the candidate count, the evaluated/pruned split, and the
-// winning tile. Without a trace it behaves exactly like OptimizeSkew.
-func OptimizeSkewCtx(ctx context.Context, a *footprint.Analysis, procs int, maxSkew int64) (SkewPlan, error) {
+//
+// When ctx carries an obs.Trace, the search runs under a "search.skewed"
+// span recording the candidate count, the evaluated/pruned split, and the
+// winning tile.
+func OptimizeSkew(ctx context.Context, a *footprint.Analysis, procs int, maxSkew int64) (SkewPlan, error) {
 	_, sp := obs.StartSpan(ctx, "search.skewed")
 	defer sp.End()
 	space := tile.BoundsOf(a.Nest)

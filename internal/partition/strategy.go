@@ -14,8 +14,10 @@ import (
 // families behind one interface: a caller resolves a family by name and
 // asks it for the argmin plan (Optimize) or the K best-ranked candidates
 // for a measured tournament (TopK). The built-in families — rect, skewed,
-// comm-free — register at init; new families (lowerbound, oblivious)
-// plug in the same way without the callers growing another switch arm.
+// comm-free and the Figure 3 baselines (rows, columns, blocks,
+// abraham-hudak) — register at init; lowerbound and oblivious plug in the
+// same way, so every strategy is a registry name and no caller keeps a
+// switch over them.
 //
 // Registration is init-time only: the map is read-only once the program
 // is serving, so lookups take no lock.
@@ -97,6 +99,37 @@ func init() {
 	Register(rectFamily{})
 	Register(skewFamily{})
 	Register(commFreeFamily{})
+	for _, shape := range []NaiveShape{ByRows, ByColumns, ByBlocks} {
+		Register(naiveFamily{shape: shape})
+	}
+	Register(abrahamHudakFamily{})
+}
+
+// familyPlan lifts a rectangular-grid plan into the family result shape.
+func (p RectPlan) familyPlan() FamilyPlan {
+	t := p.Tile()
+	return FamilyPlan{
+		Tile:               &t,
+		PredictedFootprint: p.PredictedFootprint,
+		PredictedTraffic:   p.PredictedTraffic,
+		Exactness:          p.Exactness,
+	}
+}
+
+// rectResult is familyPlan over an optimizer's (plan, error) return.
+func rectResult(p RectPlan, err error) (*FamilyPlan, error) {
+	if err != nil {
+		return nil, err
+	}
+	fp := p.familyPlan()
+	return &fp, nil
+}
+
+// noTopK is embedded by the families with no candidate spectrum.
+type noTopK struct{}
+
+func (noTopK) TopK(*footprint.Analysis, int, int, TopKOptions) ([]FamilyPlan, error) {
+	return nil, ErrNoTopK
 }
 
 // rectFamily wraps the rectangular-tile search (Theorem 4 objective).
@@ -105,17 +138,7 @@ type rectFamily struct{}
 func (rectFamily) Name() string { return "rect" }
 
 func (rectFamily) Optimize(ctx context.Context, a *footprint.Analysis, procs int) (*FamilyPlan, error) {
-	rp, err := OptimizeRectCtx(ctx, a, procs)
-	if err != nil {
-		return nil, err
-	}
-	t := rp.Tile()
-	return &FamilyPlan{
-		Tile:               &t,
-		PredictedFootprint: rp.PredictedFootprint,
-		PredictedTraffic:   rp.PredictedTraffic,
-		Exactness:          rp.Exactness,
-	}, nil
+	return rectResult(OptimizeRect(ctx, a, procs))
 }
 
 func (rectFamily) TopK(a *footprint.Analysis, procs, k int, _ TopKOptions) ([]FamilyPlan, error) {
@@ -125,13 +148,7 @@ func (rectFamily) TopK(a *footprint.Analysis, procs, k int, _ TopKOptions) ([]Fa
 	}
 	out := make([]FamilyPlan, len(plans))
 	for i, p := range plans {
-		t := p.Tile()
-		out[i] = FamilyPlan{
-			Tile:               &t,
-			PredictedFootprint: p.PredictedFootprint,
-			PredictedTraffic:   p.PredictedTraffic,
-			Exactness:          p.Exactness,
-		}
+		out[i] = p.familyPlan()
 	}
 	return out, nil
 }
@@ -145,17 +162,19 @@ const defaultMaxSkew = 3
 
 func (skewFamily) Name() string { return "skewed" }
 
+// familyPlan lifts a skewed-tile plan into the family result shape.
+func (p SkewPlan) familyPlan() FamilyPlan {
+	t := p.Tile
+	return FamilyPlan{Tile: &t, PredictedFootprint: p.PredictedFootprint, Exactness: p.Exactness}
+}
+
 func (skewFamily) Optimize(ctx context.Context, a *footprint.Analysis, procs int) (*FamilyPlan, error) {
-	sp, err := OptimizeSkewCtx(ctx, a, procs, defaultMaxSkew)
+	sp, err := OptimizeSkew(ctx, a, procs, defaultMaxSkew)
 	if err != nil {
 		return nil, err
 	}
-	t := sp.Tile
-	return &FamilyPlan{
-		Tile:               &t,
-		PredictedFootprint: sp.PredictedFootprint,
-		Exactness:          sp.Exactness,
-	}, nil
+	fp := sp.familyPlan()
+	return &fp, nil
 }
 
 func (skewFamily) TopK(a *footprint.Analysis, procs, k int, opt TopKOptions) ([]FamilyPlan, error) {
@@ -169,19 +188,14 @@ func (skewFamily) TopK(a *footprint.Analysis, procs, k int, opt TopKOptions) ([]
 	}
 	out := make([]FamilyPlan, len(plans))
 	for i, p := range plans {
-		t := p.Tile
-		out[i] = FamilyPlan{
-			Tile:               &t,
-			PredictedFootprint: p.PredictedFootprint,
-			Exactness:          p.Exactness,
-		}
+		out[i] = p.familyPlan()
 	}
 	return out, nil
 }
 
 // commFreeFamily wraps the communication-free hyperplane finder (the
 // Ramanujam–Sadayappan class).
-type commFreeFamily struct{}
+type commFreeFamily struct{ noTopK }
 
 func (commFreeFamily) Name() string { return "comm-free" }
 
@@ -193,6 +207,25 @@ func (commFreeFamily) Optimize(_ context.Context, a *footprint.Analysis, procs i
 	return &FamilyPlan{Slab: &sp}, nil
 }
 
-func (commFreeFamily) TopK(a *footprint.Analysis, procs, k int, _ TopKOptions) ([]FamilyPlan, error) {
-	return nil, ErrNoTopK
+// naiveFamily is one of Figure 3's fixed baseline shapes (rows, columns,
+// blocks), registered under the shape's name.
+type naiveFamily struct {
+	noTopK
+	shape NaiveShape
+}
+
+func (f naiveFamily) Name() string { return f.shape.String() }
+
+func (f naiveFamily) Optimize(_ context.Context, a *footprint.Analysis, procs int) (*FamilyPlan, error) {
+	return rectResult(Naive(a, procs, f.shape))
+}
+
+// abrahamHudakFamily runs the baseline algorithm of [6] on its
+// restricted program class.
+type abrahamHudakFamily struct{ noTopK }
+
+func (abrahamHudakFamily) Name() string { return "abraham-hudak" }
+
+func (abrahamHudakFamily) Optimize(_ context.Context, a *footprint.Analysis, procs int) (*FamilyPlan, error) {
+	return rectResult(AbrahamHudak(a, procs))
 }

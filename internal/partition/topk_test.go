@@ -1,6 +1,7 @@
 package partition
 
 import (
+	"context"
 	"fmt"
 	"testing"
 
@@ -26,7 +27,7 @@ func TestRectTopKFirstMatchesArgmin(t *testing.T) {
 	} {
 		a := analysisFor(t, src, map[string]int64{"N": 24, "T": 2})
 		for _, procs := range []int{4, 8, 16} {
-			argmin, err := OptimizeRect(a, procs)
+			argmin, err := OptimizeRect(context.Background(), a, procs)
 			if err != nil {
 				t.Fatalf("%s P=%d: %v", name, procs, err)
 			}
@@ -89,7 +90,7 @@ func TestSkewTopKFirstMatchesArgmin(t *testing.T) {
 		"example8": paperex.Example8,
 	} {
 		a := analysisFor(t, src, map[string]int64{"N": 24})
-		argmin, err := OptimizeSkew(a, 8, 2)
+		argmin, err := OptimizeSkew(context.Background(), a, 8, 2)
 		if err != nil {
 			t.Fatalf("%s: %v", name, err)
 		}

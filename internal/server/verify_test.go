@@ -6,6 +6,7 @@ import (
 	"net/http"
 	"testing"
 
+	"looppart"
 	"looppart/internal/telemetry"
 	"looppart/internal/verify"
 )
@@ -69,5 +70,36 @@ func TestSelfCheckConfig(t *testing.T) {
 	}
 	if reg.Snapshot().Counters["server.verifies"] == 0 {
 		t.Error("server.verifies counter not incremented")
+	}
+}
+
+// A symbolic oblivious plan has no iteration→processor map to check, so
+// ?verify=1 must still answer 200 with a passing report rather than a
+// verification failure.
+func TestPlanVerifySymbolicOblivious(t *testing.T) {
+	reg := telemetry.New()
+	_, ts := newTestServer(t, Config{Registry: reg})
+	body, _ := json.Marshal(looppart.PlanRequest{
+		Source:   "doall (i, 0, ?N)\n doall (j, 0, 31)\n  A[i,j] = A[i,j-1]\n enddoall\nenddoall",
+		Procs:    4,
+		Strategy: "oblivious",
+	})
+	resp, err := http.Post(ts.URL+"/v1/plan?verify=1", "application/json", bytes.NewReader(body))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	var vr struct {
+		Result json.RawMessage `json:"result"`
+		Verify *verify.Report  `json:"verify"`
+	}
+	if err := json.NewDecoder(resp.Body).Decode(&vr); err != nil {
+		t.Fatal(err)
+	}
+	if resp.StatusCode != http.StatusOK || vr.Verify == nil || !vr.Verify.OK() {
+		t.Fatalf("verified symbolic oblivious plan: status %d, report %v", resp.StatusCode, vr.Verify)
+	}
+	if n := reg.Snapshot().Counters["server.verify_failures"]; n != 0 {
+		t.Errorf("server.verify_failures = %d, want 0", n)
 	}
 }

@@ -1,6 +1,7 @@
 package verify
 
 import (
+	"context"
 	"fmt"
 	"reflect"
 
@@ -34,13 +35,13 @@ func DiffClosedForm(a *footprint.Analysis, procs int) (hit bool, err error) {
 
 	wasDisabled := partition.SetClosedFormDisabled(false)
 	defer partition.SetClosedFormDisabled(wasDisabled)
-	fast, fastErr := partition.OptimizeRect(a, procs)
+	fast, fastErr := partition.OptimizeRect(context.Background(), a, procs)
 	hits := reg.Counter("partition.closedform.hits").Value()
 	fallbacks := reg.Counter("partition.closedform.fallbacks").Value()
 	hit = hits > 0
 
 	partition.SetClosedFormDisabled(true)
-	oracle, oracleErr := partition.OptimizeRect(a, procs)
+	oracle, oracleErr := partition.OptimizeRect(context.Background(), a, procs)
 
 	if (fastErr == nil) != (oracleErr == nil) {
 		return hit, fmt.Errorf("verify: closed-form error mismatch: %v vs enumerated %v", fastErr, oracleErr)

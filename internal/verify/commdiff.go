@@ -1,6 +1,7 @@
 package verify
 
 import (
+	"context"
 	"errors"
 	"fmt"
 
@@ -82,7 +83,7 @@ func DiffCommSets(src string, procs int) (*CommDiff, error) {
 	if _, err := exec.StoreFor(n); err != nil {
 		return nil, fmt.Errorf("%w: layout: %v", ErrCommDiffUnsupported, err)
 	}
-	rp, err := partition.OptimizeRect(a, procs)
+	rp, err := partition.OptimizeRect(context.Background(), a, procs)
 	if err != nil {
 		return nil, fmt.Errorf("%w: optimize: %v", ErrCommDiffUnsupported, err)
 	}
@@ -98,7 +99,7 @@ func DiffCommSets(src string, procs int) (*CommDiff, error) {
 	}
 
 	spec := commsets.Spec{Analysis: a, Space: space, Procs: procs, Tile: &t, Assign: asg.ProcOf}
-	comm, err := commsets.Compute(spec, commsets.Options{Materialize: true})
+	comm, err := commsets.ComputeCtx(context.Background(), spec, commsets.Options{Materialize: true})
 	if err != nil {
 		return nil, fmt.Errorf("commsets: %w", err)
 	}

@@ -98,6 +98,10 @@ func (r *Report) Fail(name, detail string) { r.add(name, false, detail) }
 // Pass appends a passing check.
 func (r *Report) Pass(name string) { r.add(name, true, "") }
 
+// NotApplicable records a check that does not apply to the plan (e.g. the
+// assignment of a policy-only plan): it passes, with the reason as detail.
+func (r *Report) NotApplicable(name, reason string) { r.add(name, true, "not applicable: "+reason) }
+
 // PlanCheck describes a concrete partition plan to validate.
 type PlanCheck struct {
 	// Analysis enables the footprint model-vs-enumeration check; nil skips

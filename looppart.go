@@ -15,10 +15,16 @@
 //   - validates predictions on a cache-coherent multiprocessor simulator
 //     and executes partitioned nests for real on goroutines.
 //
+// Every Strategy but Auto names a partition.Family in the strategy
+// registry — the paper's optimizers, its Figure 3 baselines, and the
+// lower-bound and cache-oblivious plug-ins — and Auto is one policy over
+// them. Partition and Autotune take a context first; a context carrying
+// an obs.Trace collects the search spans.
+//
 // The typical flow:
 //
 //	prog, _ := looppart.Parse(src, nil)
-//	plan, _ := prog.Partition(64, looppart.Auto)
+//	plan, _ := prog.Partition(ctx, 64, looppart.Auto)
 //	metrics, _ := plan.Simulate(looppart.SimOptions{})
 //	fmt.Println(plan, metrics)
 package looppart
@@ -112,7 +118,8 @@ type Strategy int
 
 const (
 	// Auto prefers a communication-free partition when one exists, and
-	// otherwise the footprint-optimal rectangular partition.
+	// otherwise the footprint-optimal rectangular partition; over symbolic
+	// bounds it resolves to Oblivious.
 	Auto Strategy = iota
 	// Rect searches rectangular tiles (Theorem 4 objective).
 	Rect
@@ -138,31 +145,39 @@ const (
 	Oblivious
 )
 
+// strategyNames is the one table naming the strategies: String,
+// ParseStrategy, the CLI flag and the service's per-strategy counters all
+// derive from it. Every name but "auto" is a partition.Family registry
+// name.
+var strategyNames = [...]string{
+	Auto:         "auto",
+	Rect:         "rect",
+	Skewed:       "skewed",
+	CommFree:     "comm-free",
+	Rows:         "rows",
+	Columns:      "columns",
+	Blocks:       "blocks",
+	AbrahamHudak: "abraham-hudak",
+	LowerBound:   "lowerbound",
+	Oblivious:    "oblivious",
+}
+
 func (s Strategy) String() string {
-	switch s {
-	case Auto:
-		return "auto"
-	case Rect:
-		return "rect"
-	case Skewed:
-		return "skewed"
-	case CommFree:
-		return "comm-free"
-	case Rows:
-		return "rows"
-	case Columns:
-		return "columns"
-	case Blocks:
-		return "blocks"
-	case AbrahamHudak:
-		return "abraham-hudak"
-	case LowerBound:
-		return "lowerbound"
-	case Oblivious:
-		return "oblivious"
-	default:
+	if s < 0 || int(s) >= len(strategyNames) {
 		return "unknown"
 	}
+	return strategyNames[s]
+}
+
+// ParseStrategy maps a strategy name (the CLI and HTTP spelling) to its
+// Strategy value.
+func ParseStrategy(name string) (Strategy, bool) {
+	for s, n := range strategyNames {
+		if n == name {
+			return Strategy(s), true
+		}
+	}
+	return 0, false
 }
 
 // Plan is a concrete partition: an iteration→processor assignment plus the
@@ -188,72 +203,58 @@ type Plan struct {
 }
 
 // Partition derives a plan for P processors with the given strategy.
-func (pr *Program) Partition(procs int, strategy Strategy) (*Plan, error) {
-	return pr.PartitionCtx(context.Background(), procs, strategy)
+// When ctx carries an obs.Trace, the strategy searches record their spans
+// (search.rect / search.skewed with evaluated/pruned counts) into it.
+func (pr *Program) Partition(ctx context.Context, procs int, strategy Strategy) (*Plan, error) {
+	return pr.dispatch(procs, strategy, func(s Strategy) (*Plan, error) {
+		return pr.familyPlan(ctx, s, procs)
+	})
 }
 
-// PartitionCtx is Partition with request-scoped tracing: when ctx carries
-// an obs.Trace, the strategy searches record their spans (search.rect /
-// search.skewed with evaluated/pruned counts) into it. Without a trace it
-// behaves exactly like Partition.
-func (pr *Program) PartitionCtx(ctx context.Context, procs int, strategy Strategy) (*Plan, error) {
+// dispatch is the one strategy dispatch behind Partition and Autotune:
+// the symbolic-bounds guard, then the auto policy, then build for the
+// resolved strategy.
+//
+// The auto policy: a nest with symbolic bounds gets the oblivious plan
+// (the only one that needs no extents); otherwise a communication-free
+// partition when one exists, and the footprint-optimal rectangles when
+// none does.
+func (pr *Program) dispatch(procs int, strategy Strategy, build func(Strategy) (*Plan, error)) (*Plan, error) {
 	if procs < 1 {
 		return nil, fmt.Errorf("looppart: procs must be >= 1, got %d", procs)
 	}
-	if pr.Nest.Symbolic() && strategy != Oblivious && strategy != Auto {
+	symbolic := pr.Nest.Symbolic()
+	if symbolic && strategy != Oblivious && strategy != Auto {
 		return nil, fmt.Errorf("looppart: nest has symbolic bounds; only the oblivious strategy can plan it")
 	}
-	reg := telemetry.Active()
 	if strategy != Auto {
-		sp := reg.StartSpan("partition." + strategy.String())
-		sp.SetArg("procs", procs)
-		defer sp.End()
+		return build(strategy)
 	}
-	switch strategy {
-	case Auto:
-		if pr.Nest.Symbolic() {
-			reg.Emit("strategy.auto", "oblivious", map[string]any{
-				"reason": "symbolic loop bounds; only cache-oblivious bisection needs no extents",
-			})
-			return pr.PartitionCtx(ctx, procs, Oblivious)
-		}
-		if plan, err := pr.PartitionCtx(ctx, procs, CommFree); err == nil {
-			reg.Emit("strategy.auto", "comm-free", map[string]any{
-				"reason": "a communication-free hyperplane partition exists",
-			})
-			return plan, nil
-		}
-		reg.Emit("strategy.auto", "rect", map[string]any{
-			"reason": "no communication-free partition; falling back to footprint-optimal rectangles",
+	reg := telemetry.Active()
+	if symbolic {
+		reg.Emit("strategy.auto", "oblivious", map[string]any{
+			"reason": "symbolic loop bounds; only cache-oblivious bisection needs no extents",
 		})
-		return pr.PartitionCtx(ctx, procs, Rect)
-	case Rect, Skewed, LowerBound, Oblivious:
-		return pr.familyPlan(ctx, strategy, procs)
-	case Rows, Columns, Blocks:
-		shape := map[Strategy]partition.NaiveShape{
-			Rows: partition.ByRows, Columns: partition.ByColumns, Blocks: partition.ByBlocks,
-		}[strategy]
-		rp, err := partition.Naive(pr.Analysis, procs, shape)
-		if err != nil {
-			return nil, err
-		}
-		return pr.tilePlan(strategy, procs, rp.Tile(), rp.PredictedFootprint, rp.PredictedTraffic)
-	case AbrahamHudak:
-		rp, err := partition.AbrahamHudak(pr.Analysis, procs)
-		if err != nil {
-			return nil, err
-		}
-		return pr.tilePlan(strategy, procs, rp.Tile(), rp.PredictedFootprint, rp.PredictedTraffic)
-	case CommFree:
-		return pr.familyPlan(ctx, strategy, procs)
-	default:
-		return nil, fmt.Errorf("looppart: unknown strategy %d", strategy)
+		return build(Oblivious)
 	}
+	if plan, err := build(CommFree); err == nil {
+		reg.Emit("strategy.auto", "comm-free", map[string]any{
+			"reason": "a communication-free hyperplane partition exists",
+		})
+		return plan, nil
+	}
+	reg.Emit("strategy.auto", "rect", map[string]any{
+		"reason": "no communication-free partition; falling back to footprint-optimal rectangles",
+	})
+	return build(Rect)
 }
 
-// familyPlan routes a strategy through the partition.Family registry and
-// lifts the family-independent result into a Plan.
+// familyPlan routes a resolved strategy through the partition.Family
+// registry and lifts the family-independent result into a Plan.
 func (pr *Program) familyPlan(ctx context.Context, strategy Strategy, procs int) (*Plan, error) {
+	sp := telemetry.Active().StartSpan("partition." + strategy.String())
+	sp.SetArg("procs", procs)
+	defer sp.End()
 	fam, ok := partition.Lookup(strategy.String())
 	if !ok {
 		return nil, fmt.Errorf("looppart: unknown strategy %d", strategy)
@@ -265,6 +266,14 @@ func (pr *Program) familyPlan(ctx context.Context, strategy Strategy, procs int)
 		}
 		return nil, err
 	}
+	return pr.lift(strategy, procs, fp)
+}
+
+// lift turns a family result — searched, or rebuilt from a served plan —
+// into a Plan with its iteration→processor assignment. Oblivious plans
+// over symbolic bounds get none: they are a split policy until the
+// extents are known.
+func (pr *Program) lift(strategy Strategy, procs int, fp *partition.FamilyPlan) (*Plan, error) {
 	switch {
 	case fp.Tile != nil:
 		return pr.tilePlan(strategy, procs, *fp.Tile, fp.PredictedFootprint, fp.PredictedTraffic)

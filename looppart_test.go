@@ -1,6 +1,7 @@
 package looppart
 
 import (
+	"context"
 	"fmt"
 	"strings"
 	"testing"
@@ -49,7 +50,7 @@ func TestMustParsePanics(t *testing.T) {
 
 func TestAutoPrefersCommFree(t *testing.T) {
 	prog := MustParse(paperex.Example2, nil)
-	plan, err := prog.Partition(100, Auto)
+	plan, err := prog.Partition(context.Background(), 100, Auto)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -67,7 +68,7 @@ func TestAutoPrefersCommFree(t *testing.T) {
 
 func TestAutoFallsBackToRect(t *testing.T) {
 	prog := MustParse(paperex.Example10, map[string]int64{"N": 40})
-	plan, err := prog.Partition(16, Auto)
+	plan, err := prog.Partition(context.Background(), 16, Auto)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -82,7 +83,7 @@ func TestStrategyOrderingExample2(t *testing.T) {
 	prog := MustParse(paperex.Example2, nil)
 	miss := map[Strategy]float64{}
 	for _, s := range []Strategy{Rows, Columns, Blocks} {
-		plan, err := prog.Partition(100, s)
+		plan, err := prog.Partition(context.Background(), 100, s)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -102,21 +103,21 @@ func TestStrategyOrderingExample2(t *testing.T) {
 
 func TestCommFreeFailsWhenNoneExists(t *testing.T) {
 	prog := MustParse(paperex.Example10, map[string]int64{"N": 40})
-	if _, err := prog.Partition(8, CommFree); err == nil {
+	if _, err := prog.Partition(context.Background(), 8, CommFree); err == nil {
 		t.Fatal("comm-free should fail for Example 10")
 	}
 }
 
 func TestSkewedStrategyExample3(t *testing.T) {
 	prog := MustParse(paperex.Example3, map[string]int64{"N": 24})
-	plan, err := prog.Partition(8, Skewed)
+	plan, err := prog.Partition(context.Background(), 8, Skewed)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if plan.Tile == nil || plan.Tile.IsRect() {
 		t.Fatalf("skewed plan = %v", plan)
 	}
-	rect, err := prog.Partition(8, Rect)
+	rect, err := prog.Partition(context.Background(), 8, Rect)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -141,11 +142,11 @@ doall (i, 1, 32)
   enddoall
 enddoall`
 	prog := MustParse(src, nil)
-	plan, err := prog.Partition(16, AbrahamHudak)
+	plan, err := prog.Partition(context.Background(), 16, AbrahamHudak)
 	if err != nil {
 		t.Fatal(err)
 	}
-	ours, err := prog.Partition(16, Rect)
+	ours, err := prog.Partition(context.Background(), 16, Rect)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -156,7 +157,7 @@ enddoall`
 
 func TestExecuteMatchesSequentialThroughAPI(t *testing.T) {
 	prog := MustParse(paperex.MatmulSync, map[string]int64{"N": 6})
-	plan, err := prog.Partition(4, Blocks)
+	plan, err := prog.Partition(context.Background(), 4, Blocks)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -171,7 +172,7 @@ func TestExecuteMatchesSequentialThroughAPI(t *testing.T) {
 
 func TestSimulateMesh(t *testing.T) {
 	prog := MustParse(paperex.Example8, map[string]int64{"N": 16})
-	plan, err := prog.Partition(8, Rect)
+	plan, err := prog.Partition(context.Background(), 8, Rect)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -193,7 +194,7 @@ func TestSimulateMesh(t *testing.T) {
 
 func TestSimulateMeshRequiresTilePlan(t *testing.T) {
 	prog := MustParse(paperex.Example2, nil)
-	plan, err := prog.Partition(100, CommFree)
+	plan, err := prog.Partition(context.Background(), 100, CommFree)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -231,14 +232,14 @@ func TestStrategyStrings(t *testing.T) {
 
 func TestUnknownStrategy(t *testing.T) {
 	prog := MustParse(paperex.Example2, nil)
-	if _, err := prog.Partition(4, Strategy(99)); err == nil {
+	if _, err := prog.Partition(context.Background(), 4, Strategy(99)); err == nil {
 		t.Fatal("unknown strategy accepted")
 	}
 }
 
 func TestPlanStringAndSpace(t *testing.T) {
 	prog := MustParse(paperex.Example2, nil)
-	plan, err := prog.Partition(100, Rect)
+	plan, err := prog.Partition(context.Background(), 100, Rect)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -252,7 +253,7 @@ func TestPlanStringAndSpace(t *testing.T) {
 
 func TestLoadImbalance(t *testing.T) {
 	prog := MustParse(paperex.Example2, nil)
-	plan, err := prog.Partition(100, Columns)
+	plan, err := prog.Partition(context.Background(), 100, Columns)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -261,7 +262,7 @@ func TestLoadImbalance(t *testing.T) {
 	}
 	// A skewed comm-free slab plan on Example 8 is imbalanced.
 	prog8 := MustParse(paperex.Example8, map[string]int64{"N": 12})
-	cf, err := prog8.Partition(8, CommFree)
+	cf, err := prog8.Partition(context.Background(), 8, CommFree)
 	if err != nil {
 		t.Skip("no comm-free plan at this size")
 	}
@@ -278,7 +279,7 @@ doall (i, 1, 24)
   enddoall
 enddoall`
 	prog := MustParse(src, nil)
-	plan, err := prog.Partition(1, Rect)
+	plan, err := prog.Partition(context.Background(), 1, Rect)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -310,7 +311,7 @@ enddoall`
 
 func TestSimulateBlockedErrors(t *testing.T) {
 	prog := MustParse(paperex.Example2, nil)
-	plan, err := prog.Partition(100, Columns)
+	plan, err := prog.Partition(context.Background(), 100, Columns)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -327,7 +328,7 @@ func TestSimulatePublishesMetricsTelemetry(t *testing.T) {
 	defer telemetry.SetActive(prev)
 
 	prog := MustParse(paperex.Example8, map[string]int64{"N": 24})
-	plan, err := prog.Partition(16, Rect)
+	plan, err := prog.Partition(context.Background(), 16, Rect)
 	if err != nil {
 		t.Fatal(err)
 	}

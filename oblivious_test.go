@@ -1,6 +1,7 @@
 package looppart
 
 import (
+	"context"
 	"strings"
 	"testing"
 )
@@ -19,7 +20,7 @@ enddoall
 // factor — a tiling tuned to one size would blow past this on the others.
 func TestObliviousConstantFactorAcrossCacheSizes(t *testing.T) {
 	prog := MustParse(obliviousStencilSrc, nil)
-	plan, err := prog.Partition(4, Oblivious)
+	plan, err := prog.Partition(context.Background(), 4, Oblivious)
 	if err != nil {
 		t.Fatalf("oblivious partition: %v", err)
 	}
@@ -54,7 +55,7 @@ func TestObliviousConstantFactorAcrossCacheSizes(t *testing.T) {
 func TestObliviousAssignCoversProcessors(t *testing.T) {
 	prog := MustParse(obliviousStencilSrc, nil)
 	const procs = 8
-	plan, err := prog.Partition(procs, Oblivious)
+	plan, err := prog.Partition(context.Background(), procs, Oblivious)
 	if err != nil {
 		t.Fatalf("partition: %v", err)
 	}
@@ -78,17 +79,20 @@ func TestObliviousAssignCoversProcessors(t *testing.T) {
 	}
 }
 
-// A `?N` nest parses, plans only under the oblivious strategy (Auto
-// routes there), and refuses concrete replay.
-func TestObliviousSymbolicBounds(t *testing.T) {
-	src := `
+// symbolicStencilSrc has a symbolic upper bound: only the oblivious
+// strategy can plan it.
+const symbolicStencilSrc = `
 doall (i, 0, ?N)
   doall (j, 0, 31)
     A[i,j] = A[i,j-1]
   enddoall
 enddoall
 `
-	prog, err := Parse(src, nil)
+
+// A `?N` nest parses, plans only under the oblivious strategy (Auto
+// routes there), and refuses concrete replay.
+func TestObliviousSymbolicBounds(t *testing.T) {
+	prog, err := Parse(symbolicStencilSrc, nil)
 	if err != nil {
 		t.Fatalf("parse symbolic nest: %v", err)
 	}
@@ -99,11 +103,11 @@ enddoall
 		t.Fatalf("rendering lost the symbolic bound:\n%s", prog.Nest)
 	}
 
-	if _, err := prog.Partition(4, Rect); err == nil || !strings.Contains(err.Error(), "symbolic") {
+	if _, err := prog.Partition(context.Background(), 4, Rect); err == nil || !strings.Contains(err.Error(), "symbolic") {
 		t.Fatalf("rect on symbolic bounds = %v, want symbolic-bounds refusal", err)
 	}
 
-	plan, err := prog.Partition(4, Oblivious)
+	plan, err := prog.Partition(context.Background(), 4, Oblivious)
 	if err != nil {
 		t.Fatalf("oblivious partition: %v", err)
 	}
@@ -120,11 +124,63 @@ enddoall
 		t.Fatal("executing a symbolic plan must fail")
 	}
 
-	auto, err := prog.Partition(4, Auto)
+	auto, err := prog.Partition(context.Background(), 4, Auto)
 	if err != nil {
 		t.Fatalf("auto on symbolic nest: %v", err)
 	}
 	if auto.Strategy != Oblivious {
 		t.Fatalf("auto resolved %v, want oblivious", auto.Strategy)
+	}
+}
+
+// Autotune sits behind the same symbolic-bounds guard and auto policy as
+// Partition: auto resolves to the oblivious policy with no tournament,
+// rect is refused with Partition's error, and an autotuning service
+// serves auto the analytic service's bytes.
+func TestAutotuneSymbolicBounds(t *testing.T) {
+	prog := MustParse(symbolicStencilSrc, nil)
+	plan, res, err := prog.Autotune(context.Background(), 4, Auto, AutotuneOptions{})
+	if err != nil {
+		t.Fatalf("autotune auto on symbolic nest: %v", err)
+	}
+	if plan.Strategy != Oblivious || res != nil {
+		t.Fatalf("autotune auto = %s (tournament %v), want the oblivious plan and no tournament", plan, res != nil)
+	}
+
+	_, perr := prog.Partition(context.Background(), 4, Rect)
+	_, _, aerr := prog.Autotune(context.Background(), 4, Rect, AutotuneOptions{})
+	if perr == nil || aerr == nil || aerr.Error() != perr.Error() {
+		t.Fatalf("autotune rect on symbolic nest = %v, want Partition's refusal %v", aerr, perr)
+	}
+
+	req := PlanRequest{Source: symbolicStencilSrc, Procs: 4, Strategy: "auto"}
+	analytic := serveOne(t, NewService(ServiceOptions{}), req)
+	tuned := serveOne(t, NewService(ServiceOptions{AutotuneK: 2}), req)
+	if string(tuned.Raw) != string(analytic.Raw) {
+		t.Fatalf("autotuning service serves auto as\n%s\nanalytic service serves\n%s", tuned.Raw, analytic.Raw)
+	}
+}
+
+// A symbolic oblivious policy carries no assignment by design, so its
+// self-check records the assignment check as not applicable; a concrete
+// plan with no assignment still fails.
+func TestSelfCheckSymbolicObliviousPlan(t *testing.T) {
+	sym := MustParse(symbolicStencilSrc, nil)
+	plan, err := sym.Partition(context.Background(), 4, Oblivious)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if rep := plan.SelfCheck(); !rep.OK() {
+		t.Fatalf("symbolic oblivious plan fails its self-check: %v", rep)
+	}
+
+	conc := MustParse(obliviousStencilSrc, nil)
+	plan, err = conc.Partition(context.Background(), 4, Oblivious)
+	if err != nil {
+		t.Fatal(err)
+	}
+	plan.assign = nil
+	if rep := plan.SelfCheck(); rep.OK() {
+		t.Fatalf("concrete plan without an assignment passed its self-check: %v", rep)
 	}
 }

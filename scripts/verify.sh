@@ -25,9 +25,11 @@ echo '== go test -race =='
 go test -race ./...
 
 echo '== perfbench: served plan bytes and canonical keys vs the reference =='
-# perfbench is a nested module, so the root ./... above skips it; its
-# tests fail on any drift in served bytes or keys against
+# perfbench is a nested module, so the root ./... above skips it: vet it
+# too, so an API rename that breaks the benchmark driver fails here, and
+# its tests fail on any drift in served bytes or keys against
 # perfbench/testdata/reference.txt.
+(cd perfbench && go vet ./...)
 (cd perfbench && go test ./...)
 
 echo '== race: parallel search engine at forced pool sizes =='

@@ -16,7 +16,16 @@ import (
 // rules (verify.DefaultTolerance). Large spaces are sampled
 // deterministically; the check never panics. Outcomes feed the
 // verify.checks / verify.failures telemetry counters.
+//
+// An oblivious policy over a symbolic nest has no assignment to check
+// until the extents are known, so its assignment check is recorded as not
+// applicable; any other plan without an assignment fails.
 func (p *Plan) SelfCheck() *verify.Report {
+	if !p.Concrete() && p.Oblivious != nil && p.Oblivious.Symbolic && p.Program.Nest.Symbolic() {
+		rep := &verify.Report{}
+		rep.NotApplicable("assignment", "symbolic oblivious policy; no iteration→processor map until the extents are known")
+		return rep
+	}
 	return verify.CheckPlan(verify.PlanCheck{
 		Analysis: p.Program.Analysis,
 		Space:    tile.BoundsOf(p.Program.Nest),
@@ -29,8 +38,9 @@ func (p *Plan) SelfCheck() *verify.Report {
 // PlanFromResult reconstructs an executable Plan from a served PlanResult
 // — the inverse of the service's encoding. The reconstruction uses only
 // the serialized fields (kind, tile extents or matrix, slab normal and
-// width), so checking the reconstructed plan checks what was actually
-// served, not what the search happened to compute.
+// width, split order), so checking the reconstructed plan checks what was
+// actually served, not what the search happened to compute. The rebuilt
+// family result is lifted into a Plan exactly as a searched one is.
 func (pr *Program) PlanFromResult(res *PlanResult) (*Plan, error) {
 	strategy, ok := ParseStrategy(res.Resolved)
 	if !ok {
@@ -39,6 +49,15 @@ func (pr *Program) PlanFromResult(res *PlanResult) (*Plan, error) {
 	if res.Procs < 1 {
 		return nil, fmt.Errorf("looppart: served plan has non-positive processor count %d", res.Procs)
 	}
+	fp, err := pr.familyPlanFromResult(res)
+	if err != nil {
+		return nil, err
+	}
+	return pr.lift(strategy, res.Procs, fp)
+}
+
+// familyPlanFromResult rebuilds the family result a served plan encodes.
+func (pr *Program) familyPlanFromResult(res *PlanResult) (*partition.FamilyPlan, error) {
 	switch res.Kind {
 	case "slab":
 		space := tile.BoundsOf(pr.Nest)
@@ -46,10 +65,7 @@ func (pr *Program) PlanFromResult(res *PlanResult) (*Plan, error) {
 		if err != nil {
 			return nil, err
 		}
-		procs := res.Procs
-		plan := &Plan{Program: pr, Strategy: strategy, Procs: procs, Slab: &sp}
-		plan.assign = func(p []int64) int { return sp.SlabOf(p, procs) }
-		return plan, nil
+		return &partition.FamilyPlan{Slab: &sp}, nil
 	case "tile":
 		var t tile.Tile
 		switch {
@@ -69,7 +85,7 @@ func (pr *Program) PlanFromResult(res *PlanResult) (*Plan, error) {
 		default:
 			return nil, fmt.Errorf("looppart: served tile plan has neither extents nor matrix")
 		}
-		return pr.tilePlan(strategy, res.Procs, t, res.PredictedFootprint, res.PredictedTraffic)
+		return &partition.FamilyPlan{Tile: &t, PredictedFootprint: res.PredictedFootprint, PredictedTraffic: res.PredictedTraffic}, nil
 	case "oblivious":
 		// The bisection policy is a deterministic function of the analysis
 		// and the processor count, so re-derive it and require the served
@@ -90,15 +106,7 @@ func (pr *Program) PlanFromResult(res *PlanResult) (*Plan, error) {
 		if op.Symbolic != res.ObliviousSymbolic {
 			return nil, fmt.Errorf("looppart: served plan symbolic=%v but the nest derives symbolic=%v", res.ObliviousSymbolic, op.Symbolic)
 		}
-		plan := &Plan{Program: pr, Strategy: strategy, Procs: res.Procs, Oblivious: op}
-		if !op.Symbolic {
-			asg, err := op.Assign(tile.BoundsOf(pr.Nest), res.Procs)
-			if err != nil {
-				return nil, err
-			}
-			plan.assign = asg
-		}
-		return plan, nil
+		return &partition.FamilyPlan{Oblivious: op}, nil
 	default:
 		return nil, fmt.Errorf("looppart: served plan has unknown kind %q", res.Kind)
 	}

@@ -19,17 +19,6 @@ import (
 	"looppart/internal/telemetry"
 )
 
-// ParseStrategy maps a strategy name (the CLI and HTTP spelling) to its
-// Strategy value.
-func ParseStrategy(name string) (Strategy, bool) {
-	for _, s := range []Strategy{Auto, Rect, Skewed, CommFree, Rows, Columns, Blocks, AbrahamHudak, LowerBound, Oblivious} {
-		if s.String() == name {
-			return s, true
-		}
-	}
-	return 0, false
-}
-
 // CanonicalKey returns the plan-cache key for partitioning the program on
 // procs processors with the given strategy. The key is derived from the
 // canonicalized nest (renamed indices, sorted references, resolved
@@ -655,9 +644,9 @@ func (s *Service) Explain(req PlanRequest) (*PlanResponse, string, error) {
 
 // strategyCounters are the per-strategy request counter names, resolved
 // once rather than concatenated per request.
-var strategyCounters = func() (names [Oblivious + 1]string) {
-	for st := range names {
-		names[st] = "service.plan.strategy." + Strategy(st).String()
+var strategyCounters = func() (names [len(strategyNames)]string) {
+	for st, name := range strategyNames {
+		names[st] = "service.plan.strategy." + name
 	}
 	return names
 }()
@@ -736,7 +725,7 @@ func (s *Service) Tournament(req PlanRequest) (*autotune.Result, error) {
 		k = 4
 	}
 	s.searches.Add(1)
-	plan, res, err := prog.Autotune(procs, strategy, AutotuneOptions{
+	plan, res, err := prog.Autotune(context.Background(), procs, strategy, AutotuneOptions{
 		TopK: k, Fingerprint: s.fingerprint, CacheLines: s.autotuneCLines,
 	})
 	if err != nil {
@@ -766,11 +755,11 @@ func (s *Service) search(ctx context.Context, prog *Program, key string, procs i
 		err  error
 	)
 	if s.autotuneK > 0 {
-		plan, res, err = prog.AutotuneCtx(ctx, procs, strategy, AutotuneOptions{
+		plan, res, err = prog.Autotune(ctx, procs, strategy, AutotuneOptions{
 			TopK: s.autotuneK, Fingerprint: s.fingerprint, CacheLines: s.autotuneCLines,
 		})
 	} else {
-		plan, err = prog.PartitionCtx(ctx, procs, strategy)
+		plan, err = prog.Partition(ctx, procs, strategy)
 	}
 	if err != nil {
 		return nil, nil, err

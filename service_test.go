@@ -99,7 +99,7 @@ func TestServiceRenderedMatchesLibrary(t *testing.T) {
 			t.Fatal(err)
 		}
 		strategy, _ := looppart.ParseStrategy(tc.strategy)
-		plan, err := prog.Partition(tc.procs, strategy)
+		plan, err := prog.Partition(context.Background(), tc.procs, strategy)
 		if err != nil {
 			t.Fatal(err)
 		}
