@@ -160,6 +160,31 @@ func BenchmarkSkewSearch(b *testing.B) {
 	}
 }
 
+// benchEnumNest2D has a 1-D reference class in a 2-D nest: its reduced G
+// is not square, so the skewed search scores every candidate tile by
+// exact enumeration (Definition 3) rather than by Theorem 2.
+const benchEnumNest2D = `doall (i, 1, N)
+ doall (j, 1, N)
+  A[i + j] = A[i + j + 1] + A[i + j - 2] + B[i, j]
+ enddoall
+enddoall`
+
+// BenchmarkSkewSearchEnumerated is BenchmarkSkewSearch on a nest whose
+// footprint has no closed form: the exact image count per candidate.
+func BenchmarkSkewSearchEnumerated(b *testing.B) {
+	a := benchAnalysis(b, benchEnumNest2D, map[string]int64{"N": 64})
+	for _, procs := range []int{16, 64} {
+		b.Run(fmt.Sprintf("P=%d", procs), func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				if _, err := partition.OptimizeSkew(context.Background(), a, procs, 2); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
+	}
+}
+
 func BenchmarkCachesimReplay(b *testing.B) {
 	prog := looppart.MustParse(paperex.Example2, nil)
 	plan, err := prog.Partition(context.Background(), 100, looppart.Columns)
@@ -291,6 +316,30 @@ func BenchmarkServePlanMissClosedForm(b *testing.B) {
 	req := looppart.PlanRequest{
 		Source: paperex.Example8, Params: map[string]int64{"N": 96},
 		Procs: 256, Strategy: "rect",
+	}
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		svc := looppart.NewService(looppart.ServiceOptions{})
+		if _, err := svc.Plan(context.Background(), req); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
+// BenchmarkServePlanMissEnumerated is a cold rect plan on a 3-D nest
+// whose 1-D reference A[2*i0 - 2*i2 - 2] has no closed form (§3.8's
+// rank-deficient case): every candidate grid, and the winner's traffic,
+// is counted by exact enumeration — the slow tail of a cold search.
+func BenchmarkServePlanMissEnumerated(b *testing.B) {
+	req := looppart.PlanRequest{
+		Source: `doall (i0, 1, N)
+ doall (i1, 1, N)
+  doall (i2, 1, N)
+   A[2*i0 - 2*i2 - 2] = A[2*i0 - 2*i2] + B[i0, i1, i2]
+  enddoall
+ enddoall
+enddoall`,
+		Params: map[string]int64{"N": 32}, Procs: 16, Strategy: "rect",
 	}
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {

@@ -3,6 +3,7 @@ package footprint
 import (
 	"math"
 	"math/big"
+	"sync/atomic"
 
 	"looppart/internal/intmat"
 	"looppart/internal/lattice"
@@ -22,10 +23,15 @@ import (
 // TileTotalFootprint return bit-identical values to the Analysis methods
 // of the same name (same class order, same arithmetic, same exactness
 // fold). It is safe for concurrent use: all state is written during
-// construction and only read afterwards.
+// construction and only read afterwards, except the enumeration work
+// counter, which is atomic.
 type Evaluator struct {
 	a       *Analysis
 	classes []classEval
+
+	// enumPoints counts the iteration points the exact-enumeration
+	// fallbacks walked for this evaluator's queries (one add per query).
+	enumPoints atomic.Int64
 
 	// sumDetGr is Σ |det G'| over square classes — the coefficient of the
 	// admissible volume lower bound for hyperparallelepiped tiles.
@@ -111,14 +117,56 @@ func (e *Evaluator) RectTotalFootprint(ext []int64) (float64, Exactness) {
 func (e *Evaluator) RectTotalFootprintScratch(ext, scratch []int64) (float64, Exactness) {
 	total := 0.0
 	worst := Exact
+	var work int64
 	for i := range e.classes {
-		v, ex := e.classes[i].rectFootprint(ext, scratch)
+		v, ex, _, points := e.classes[i].rectFootprint(ext, scratch, false)
 		total += v
+		work += points
 		if ex > worst {
 			worst = ex
 		}
 	}
+	e.addWork(work)
 	return total, worst
+}
+
+// RectTotals returns Analysis.RectTotalFootprint and the traffic of
+// Analysis.RectTotalTraffic in one pass: each enumerated class is walked
+// once, counting its first reference's footprint alongside the union.
+// Both sums fold per class in class order exactly as the Analysis methods
+// do, so the values are bit-identical; the exactness is the footprint's.
+func (e *Evaluator) RectTotals(ext []int64) (fp, traffic float64, ex Exactness) {
+	base := 1.0
+	for _, x := range ext {
+		base *= float64(x)
+	}
+	var work int64
+	for i := range e.classes {
+		v, cex, single, points := e.classes[i].rectFootprint(ext, nil, true)
+		fp += v
+		if cex == Enumerated {
+			traffic += v - float64(single)
+		} else {
+			traffic += v - base
+		}
+		work += points
+		if cex > ex {
+			ex = cex
+		}
+	}
+	e.addWork(work)
+	return fp, traffic, ex
+}
+
+// EnumPoints returns the number of iteration points the evaluator's
+// queries have enumerated so far — the work of the exact-enumeration
+// fallbacks, zero when every class scored in closed form.
+func (e *Evaluator) EnumPoints() int64 { return e.enumPoints.Load() }
+
+func (e *Evaluator) addWork(points int64) {
+	if points != 0 {
+		e.enumPoints.Add(points)
+	}
 }
 
 // RectClosedForm reports whether every class of the analysis scores
@@ -152,17 +200,19 @@ func (e *Evaluator) SpreadCoeff(i, k int) (float64, bool) {
 
 // rectFootprint mirrors Class.RectFootprint exactly, reading the cached
 // decomposition instead of re-solving it. scratch, when long enough,
-// holds the pair-union bounds; nil allocates as before.
-func (ce *classEval) rectFootprint(ext, scratch []int64) (float64, Exactness) {
+// holds the pair-union bounds; nil allocates as before. An enumerated
+// result also carries the points walked and, withSingle, the first
+// reference's own footprint (see rectEnumOrModel).
+func (ce *classEval) rectFootprint(ext, scratch []int64, withSingle bool) (v float64, ex Exactness, single, points int64) {
 	if !ce.square {
-		return ce.c.rectEnumOrModel(ext)
+		return ce.c.rectEnumOrModel(ext, withSingle)
 	}
 	base := 1.0
 	for _, x := range ext {
 		base *= float64(x)
 	}
 	if len(ce.c.Refs) == 1 {
-		return base, Exact
+		return base, Exact, 0, 0
 	}
 	if ce.pairU != nil {
 		bounds := scratch
@@ -173,12 +223,12 @@ func (ce *classEval) rectFootprint(ext, scratch []int64) (float64, Exactness) {
 		for k := range ext {
 			bounds[k] = ext[k] - 1
 		}
-		return float64(lattice.UnionSizeModel(bounds, ce.pairU)), Exact
+		return float64(lattice.UnionSizeModel(bounds, ce.pairU)), Exact, 0, 0
 	}
 	// Linearized Theorem 4 (Class.RectFootprintLinearized) on the cached
 	// coefficients.
 	if !ce.uOK {
-		return ce.c.rectEnumOrModel(ext)
+		return ce.c.rectEnumOrModel(ext, withSingle)
 	}
 	total := base
 	for i, ui := range ce.u {
@@ -191,7 +241,7 @@ func (ce *classEval) rectFootprint(ext, scratch []int64) (float64, Exactness) {
 		}
 		total += term
 	}
-	return total, Approximate
+	return total, Approximate, 0, 0
 }
 
 // TileTotalFootprint is Analysis.TileTotalFootprint with the projected
@@ -200,22 +250,26 @@ func (ce *classEval) rectFootprint(ext, scratch []int64) (float64, Exactness) {
 func (e *Evaluator) TileTotalFootprint(t tile.Tile) (float64, Exactness) {
 	total := 0.0
 	worst := Exact
+	var work int64
 	for i := range e.classes {
-		v, ex := e.classes[i].tileFootprint(t)
+		v, ex, points := e.classes[i].tileFootprint(t)
 		total += v
+		work += points
 		if ex > worst {
 			worst = ex
 		}
 	}
+	e.addWork(work)
 	return total, worst
 }
 
 // tileFootprint mirrors Class.TileFootprint on the cached terms.
-func (ce *classEval) tileFootprint(t tile.Tile) (float64, Exactness) {
+func (ce *classEval) tileFootprint(t tile.Tile) (float64, Exactness, int64) {
 	if !ce.square {
 		return ce.c.tileEnumOrModel(t)
 	}
-	return tileModelFootprint(t, ce.gr, ce.projSpread)
+	v, ex := tileModelFootprint(t, ce.gr, ce.projSpread)
+	return v, ex, 0
 }
 
 // RectLowerBound returns an admissible lower bound on RectTotalFootprint:

@@ -32,7 +32,7 @@ func TestBoundsBracketExactRandom(t *testing.T) {
 		if !ok {
 			t.Fatalf("trial %d: bounds refused", trial)
 		}
-		exact := float64(c.enumerateRect(ext))
+		exact := float64(oracleRect(c, ext))
 		if exact < lo-1e-9 || exact > hi+1e-9 {
 			t.Fatalf("trial %d: exact %v outside [%v, %v] (G=%v refs=%v ext=%v)",
 				trial, exact, lo, hi, g, refs, ext)
@@ -49,7 +49,7 @@ func TestBoundsSinglePairMatchLemma3(t *testing.T) {
 		if !ok {
 			t.Fatal("refused")
 		}
-		exact := float64(b.enumerateRect(ext))
+		exact := float64(oracleRect(b, ext))
 		if lo != exact || hi != exact {
 			t.Fatalf("ext %v: bounds [%v,%v] != exact %v", ext, lo, hi, exact)
 		}
@@ -68,7 +68,7 @@ func TestRefinedBeatsLinearizedOnCorners(t *testing.T) {
 	}
 	c := newClass("A", g, refs)
 	ext := []int64{5, 5}
-	exact := float64(c.enumerateRect(ext))
+	exact := float64(oracleRect(c, ext))
 	lin, _ := c.RectFootprintLinearized(ext)
 	ref, _ := c.RectFootprintRefined(ext)
 	errLin := absf(lin - exact)

@@ -149,7 +149,8 @@ func (c Class) RectFootprint(ext []int64) (float64, Exactness) {
 	gr := c.Reduced.G
 	square := gr.Rows() == gr.Cols() && gr.IsNonsingular()
 	if !square {
-		return c.rectEnumOrModel(ext)
+		v, ex, _, _ := c.rectEnumOrModel(ext, false)
+		return v, ex
 	}
 	base := 1.0
 	for _, e := range ext {
@@ -184,7 +185,8 @@ func (c Class) RectFootprint(ext []int64) (float64, Exactness) {
 func (c Class) RectFootprintLinearized(ext []int64) (float64, Exactness) {
 	u, _, ok := c.SpreadCoeffs()
 	if !ok {
-		return c.rectEnumOrModel(ext)
+		v, ex, _, _ := c.rectEnumOrModel(ext, false)
+		return v, ex
 	}
 	base := 1.0
 	for _, e := range ext {
@@ -249,7 +251,8 @@ func (c Class) RectTrafficLinearized(ext []int64) (float64, Exactness) {
 func (c Class) TileFootprint(t tile.Tile) (float64, Exactness) {
 	gr := c.Reduced.G
 	if gr.Rows() != gr.Cols() || !gr.IsNonsingular() {
-		return c.tileEnumOrModel(t)
+		v, ex, _ := c.tileEnumOrModel(t)
+		return v, ex
 	}
 	spread := c.Reduced.Project(c.Spread())
 	return tileModelFootprint(t, gr, spread)
@@ -282,22 +285,26 @@ func tileModelFootprint(t tile.Tile, gr intmat.Mat, spread []int64) (float64, Ex
 }
 
 // rectEnumOrModel is the fallback for rectangular tiles with no applicable
-// closed form. Tiles within the enumeration budget stream their points
-// through the exact Definition 3 count; larger tiles use the refs·volume
-// upper bound (each iteration point touches at most len(Refs) elements),
-// reported as Approximate so callers know no exact count backs it.
-func (c Class) rectEnumOrModel(ext []int64) (float64, Exactness) {
-	if v := rectVolume(ext); v > enumBudget.Load() {
-		return float64(len(c.Refs)) * float64(v), Approximate
+// closed form. Tiles within the enumeration budget count their points
+// exactly (Definition 3, see enumerateRect); larger tiles use the
+// refs·volume upper bound (each iteration point touches at most len(Refs)
+// elements), reported as Approximate so callers know no exact count backs
+// it. withSingle also returns the first reference's own footprint from the
+// same walk; points is the number of iteration points enumerated.
+func (c Class) rectEnumOrModel(ext []int64, withSingle bool) (v float64, ex Exactness, single, points int64) {
+	if vol := rectVolume(ext); vol > enumBudget.Load() {
+		return float64(len(c.Refs)) * float64(vol), Approximate, 0, 0
 	}
-	return float64(c.enumerateRect(ext)), Enumerated
+	union, single, points := c.enumerateRect(ext, withSingle)
+	return float64(union), Enumerated, single, points
 }
 
 // tileEnumOrModel is the fallback for hyperparallelepiped tiles.
 // enumerateTile scans the bounding box of the tile's vertices, so the
 // budget gates on the box volume; above it the refs·|det L| upper bound
 // stands in, and a tile whose volume is not even representable scores +Inf.
-func (c Class) tileEnumOrModel(t tile.Tile) (float64, Exactness) {
+// points is the number of iteration points enumerated.
+func (c Class) tileEnumOrModel(t tile.Tile) (float64, Exactness, int64) {
 	box := int64(1)
 	d := t.Dim()
 	for j := 0; j < d; j++ {
@@ -313,13 +320,14 @@ func (c Class) tileEnumOrModel(t tile.Tile) (float64, Exactness) {
 		box = intmat.SatMul(box, span)
 	}
 	if box <= enumBudget.Load() {
-		return float64(c.enumerateTile(t)), Enumerated
+		n, points := c.enumerateTile(t)
+		return float64(n), Enumerated, points
 	}
 	vol, err := t.L.DetChecked()
 	if err != nil {
-		return math.Inf(1), Approximate
+		return math.Inf(1), Approximate, 0
 	}
-	return float64(len(c.Refs)) * math.Abs(float64(vol)), Approximate
+	return float64(len(c.Refs)) * math.Abs(float64(vol)), Approximate, 0
 }
 
 // rectVolume returns Π extⱼ, saturating at MaxInt64.
@@ -332,20 +340,43 @@ func rectVolume(ext []int64) int64 {
 }
 
 // enumerateRect computes the exact cumulative footprint of the rectangular
-// origin tile with the given extents, streaming the points.
-func (c Class) enumerateRect(ext []int64) int64 {
-	return ExactClassFootprintFunc(c, rectForEach(ext))
+// origin tile with the given extents — and, withSingle, the footprint of
+// the first reference alone — on the integer image counter (count.go).
+// When the counter declines, the string-keyed oracle streams the points
+// instead. points is the number of iteration points walked.
+func (c Class) enumerateRect(ext []int64, withSingle bool) (union, single, points int64) {
+	if w, ok := rectWalk(c.G, c.Refs, ext); ok {
+		return w.count(withSingle)
+	}
+	union = ExactClassFootprintFunc(c, rectForEach(ext))
+	points = rectVolume(ext)
+	if withSingle {
+		single = ExactClassFootprintFunc(c.firstRef(), rectForEach(ext))
+		points = intmat.SatAdd(points, points)
+	}
+	return union, single, points
 }
 
 // enumerateRectSingle computes the exact footprint of the first reference
 // alone.
 func (c Class) enumerateRectSingle(ext []int64) int64 {
-	single := Class{Array: c.Array, G: c.G, Refs: c.Refs[:1], Reduced: c.Reduced}
-	return ExactClassFootprintFunc(single, rectForEach(ext))
+	n, _, _ := c.firstRef().enumerateRect(ext, false)
+	return n
 }
 
-func (c Class) enumerateTile(t tile.Tile) int64 {
-	return ExactClassFootprint(c, tile.OriginPoints(t))
+// enumerateTile is enumerateRect for a hyperparallelepiped origin tile.
+func (c Class) enumerateTile(t tile.Tile) (n, points int64) {
+	if w, ok := tileWalk(c.G, c.Refs, t); ok {
+		n, _, points = w.count(false)
+		return n, points
+	}
+	pts := tile.OriginPoints(t)
+	return ExactClassFootprint(c, pts), int64(len(pts))
+}
+
+// firstRef is the class restricted to its first reference.
+func (c Class) firstRef() Class {
+	return Class{Array: c.Array, G: c.G, Refs: c.Refs[:1], Reduced: c.Reduced}
 }
 
 // rectForEach streams the points of the origin-anchored rectangle with the
@@ -493,8 +524,7 @@ func (a *Analysis) TileTotalTraffic(t tile.Tile) (float64, Exactness) {
 		} else if vol, ok := c.SingleFootprintVolume(t); ok && ex != Enumerated {
 			total += fp - float64(vol)
 		} else {
-			single := Class{Array: c.Array, G: c.G, Refs: c.Refs[:1], Reduced: c.Reduced}
-			sfp, sex := single.tileEnumOrModel(t)
+			sfp, sex, _ := c.firstRef().tileEnumOrModel(t)
 			total += fp - sfp
 			if sex > ex {
 				ex = sex

@@ -5,6 +5,7 @@ import (
 
 	"looppart/internal/footprint"
 	"looppart/internal/intmat"
+	"looppart/internal/telemetry"
 	"looppart/internal/tile"
 )
 
@@ -35,6 +36,7 @@ func AbrahamHudak(a *footprint.Analysis, procs int) (RectPlan, error) {
 
 	space := tile.BoundsOf(a.Nest)
 	sizes := space.Extents()
+	ev := footprint.NewEvaluator(a)
 	var best RectPlan
 	bestScore := -1.0
 	for _, grid := range factorizations(int64(procs), space.Dim()) {
@@ -62,8 +64,7 @@ func AbrahamHudak(a *footprint.Analysis, procs int) (RectPlan, error) {
 		}
 		if bestScore < 0 || score < bestScore {
 			bestScore = score
-			fp, ex := a.RectTotalFootprint(ext)
-			tr, _ := a.RectTotalTraffic(ext)
+			fp, tr, ex := ev.RectTotals(ext)
 			best = RectPlan{Grid: grid, Ext: ext, PredictedFootprint: fp, PredictedTraffic: tr, Exactness: ex}
 		}
 	}
@@ -142,7 +143,8 @@ func Naive(a *footprint.Analysis, procs int, shape NaiveShape) (RectPlan, error)
 		}
 		ext[k] = ceilDiv(sizes[k], grid[k])
 	}
-	fp, ex := a.RectTotalFootprint(ext)
-	tr, _ := a.RectTotalTraffic(ext)
+	ev := footprint.NewEvaluator(a)
+	fp, tr, ex := ev.RectTotals(ext)
+	recordEnumWork(nil, telemetry.Active(), ev)
 	return RectPlan{Grid: grid, Ext: ext, PredictedFootprint: fp, PredictedTraffic: tr, Exactness: ex}, nil
 }

@@ -97,8 +97,7 @@ func closedFormRect(ctx context.Context, a *footprint.Analysis, ev *footprint.Ev
 	}
 	match := analytic != nil && sameVec64(analytic, best.Grid)
 	sp.SetAttr("analytic_match", match)
-	tr, _ := a.RectTotalTraffic(best.Ext)
-	best.PredictedTraffic = tr
+	_, best.PredictedTraffic, _ = ev.RectTotals(best.Ext)
 	parent.SetAttr("grid", fmt.Sprint(best.Grid))
 	parent.SetAttr("footprint", best.PredictedFootprint)
 	if reg != nil {

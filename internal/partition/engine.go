@@ -5,6 +5,10 @@ import (
 	"runtime"
 	"sync"
 	"sync/atomic"
+
+	"looppart/internal/footprint"
+	"looppart/internal/obs"
+	"looppart/internal/telemetry"
 )
 
 // The search engine: every optimizer in this package enumerates an indexed
@@ -121,3 +125,13 @@ const (
 // betterEps is the tie tolerance of better(); pruning leaves this margin
 // so a candidate that could still tie on footprint is never skipped.
 const betterEps = 1e-9
+
+// recordEnumWork publishes the iteration points ev's queries enumerated
+// (the exact-enumeration fallback's work) as the span's enum_points
+// attribute and on the partition.enum_points counter. sp and reg may be
+// nil.
+func recordEnumWork(sp *obs.Span, reg *telemetry.Registry, ev *footprint.Evaluator) {
+	n := ev.EnumPoints()
+	sp.SetAttr("enum_points", n)
+	reg.Counter("partition.enum_points").Add(n)
+}

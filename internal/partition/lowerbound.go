@@ -334,8 +334,8 @@ func (lowerBoundFamily) TopK(a *footprint.Analysis, procs, k int, opt TopKOption
 // terms so the plan carries the same predictions any rect plan would.
 func lbRectPlan(a *footprint.Analysis, lb *LowerBoundResult) RectPlan {
 	ev := footprint.NewEvaluator(a)
-	fp, ex := ev.RectTotalFootprint(lb.Ext)
-	tr, _ := a.RectTotalTraffic(lb.Ext)
+	fp, tr, ex := ev.RectTotals(lb.Ext)
+	recordEnumWork(nil, telemetry.Active(), ev)
 	return RectPlan{
 		Grid:               cloneGrid(lb.Grid),
 		Ext:                lb.Ext,

@@ -122,6 +122,7 @@ func OptimizeRect(ctx context.Context, a *footprint.Analysis, procs int) (RectPl
 	reg := telemetry.Active()
 	grids := factorizations(int64(procs), l)
 	ev := footprint.NewEvaluator(a)
+	defer recordEnumWork(sp, reg, ev)
 
 	// Closed-form fast path: inside the model's analytic domain the
 	// Lagrange-optimal shape is computed in O(1) and certified by a
@@ -202,8 +203,7 @@ func OptimizeRect(ctx context.Context, a *footprint.Analysis, procs int) (RectPl
 		return RectPlan{}, fmt.Errorf("partition: no feasible grid of %d processors for space %v", procs, sizes)
 	}
 	best.Grid = cloneGrid(best.Grid)
-	tr, _ := a.RectTotalTraffic(best.Ext)
-	best.PredictedTraffic = tr
+	_, best.PredictedTraffic, _ = ev.RectTotals(best.Ext)
 	sp.SetAttr("grid", fmt.Sprint(best.Grid))
 	sp.SetAttr("footprint", best.PredictedFootprint)
 	if reg != nil {

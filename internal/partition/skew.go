@@ -161,6 +161,7 @@ func OptimizeSkew(ctx context.Context, a *footprint.Analysis, procs int, maxSkew
 	exts := volumeFactorizations(vol, l)
 	skews := unimodularSkews(l, maxSkew)
 	ev := footprint.NewEvaluator(a)
+	defer recordEnumWork(sp, reg, ev)
 
 	// Shape-independent Theorem 2 coefficients, once per (skew, class).
 	terms := make([][]skewClassTerms, len(skews))

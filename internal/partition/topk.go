@@ -44,6 +44,7 @@ func OptimizeRectTopK(a *footprint.Analysis, procs, k int) ([]RectPlan, error) {
 	sizes := space.Extents()
 	grids := factorizations(int64(procs), l)
 	ev := footprint.NewEvaluator(a)
+	defer recordEnumWork(nil, telemetry.Active(), ev)
 
 	type rectCand struct {
 		ext   []int64
@@ -100,8 +101,7 @@ func OptimizeRectTopK(a *footprint.Analysis, procs, k int) ([]RectPlan, error) {
 		}
 		seen[key] = true
 		bestPlan.Grid = cloneGrid(bestPlan.Grid)
-		tr, _ := a.RectTotalTraffic(bestPlan.Ext)
-		bestPlan.PredictedTraffic = tr
+		_, bestPlan.PredictedTraffic, _ = ev.RectTotals(bestPlan.Ext)
 		out = append(out, bestPlan)
 	}
 	if len(out) == 0 {
@@ -131,6 +131,7 @@ func OptimizeSkewTopK(a *footprint.Analysis, procs int, maxSkew int64, k int) ([
 	exts := volumeFactorizations(vol, l)
 	skews := unimodularSkews(l, maxSkew)
 	ev := footprint.NewEvaluator(a)
+	defer recordEnumWork(nil, telemetry.Active(), ev)
 
 	terms := make([][]skewClassTerms, len(skews))
 	forEachCandidate(len(skews), func(si int) {

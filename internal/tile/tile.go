@@ -209,6 +209,15 @@ func (tl *Tiling) initIntInverse() {
 	tl.linvNum, tl.linvDen, tl.intOK = num, den, true
 }
 
+// ScaledInverse returns the integer form of L⁻¹ that Coord runs on:
+// coord_j = floor(Σ_k (p_k − origin_k)·num[j][k] / den) with den > 0.
+// ok is false when scaling L⁻¹ to integers overflows int64; Coord then
+// uses exact rational arithmetic. The returned slices are shared with the
+// tiling and must not be modified.
+func (tl *Tiling) ScaledInverse() (num [][]int64, den int64, ok bool) {
+	return tl.linvNum, tl.linvDen, tl.intOK
+}
+
 // Coord returns the tile coordinates of the iteration point p: the floor
 // of the lattice coordinates (p − origin)·L⁻¹. Iterations with equal
 // coordinates belong to the same tile.

@@ -5,8 +5,9 @@
 # rows captured before the parallel/pruned search engine and cachesim
 # interning landed; ServePlanMiss/ServePlanHit captured before the
 # closed-form fast path and zero-alloc miss pipeline). ServeBatch,
-# ServePlanMissClosedForm, CommSetsAnalyze, MsgexecRun, and LowerBound
-# are current-only: they have no pre-optimization capture.
+# ServePlanMissClosedForm, ServePlanMissEnumerated, SkewSearchEnumerated,
+# CommSetsAnalyze, MsgexecRun, and LowerBound are current-only: they have
+# no pre-optimization capture.
 #
 # Before rewriting the record, the fresh run is guarded against the
 # checked-in BENCH_PARTITION.json: any benchmark that got more than 25%
@@ -27,9 +28,11 @@ GUARD="${GUARD:-1}"
 RAW=$(mktemp /tmp/looppart-benchraw.XXXXXX)
 trap 'rm -f "$RAW"' EXIT
 
-# BenchmarkServePlanMiss also matches BenchmarkServePlanMissClosedForm
-# (regex substring), listed explicitly anyway so the suite reads complete.
-go test -run '^$' -bench 'BenchmarkRectSearch|BenchmarkSkewSearch|BenchmarkCachesimReplay|BenchmarkServePlanMiss|BenchmarkServePlanMissClosedForm|BenchmarkServePlanHit|BenchmarkServePlanPeerFill|BenchmarkServeBatch|BenchmarkCommSetsAnalyze|BenchmarkMsgexecRun|BenchmarkLowerBound' \
+# BenchmarkServePlanMiss also matches BenchmarkServePlanMissClosedForm and
+# BenchmarkServePlanMissEnumerated, and BenchmarkSkewSearch matches
+# BenchmarkSkewSearchEnumerated (regex substring); they are listed
+# explicitly anyway so the suite reads complete.
+go test -run '^$' -bench 'BenchmarkRectSearch|BenchmarkSkewSearch|BenchmarkSkewSearchEnumerated|BenchmarkCachesimReplay|BenchmarkServePlanMiss|BenchmarkServePlanMissClosedForm|BenchmarkServePlanMissEnumerated|BenchmarkServePlanHit|BenchmarkServePlanPeerFill|BenchmarkServeBatch|BenchmarkCommSetsAnalyze|BenchmarkMsgexecRun|BenchmarkLowerBound' \
 	-benchmem -benchtime "$BENCHTIME" . > "$RAW"
 cat "$RAW"
 

@@ -105,7 +105,7 @@ func main() {
 	}
 
 	rep := &Report{
-		Note:       "Search, simulator & serving benchmarks (bench_test.go). baseline: search/sim rows before the parallel/pruned search engine and cachesim interning; ServePlanMiss/ServePlanHit before the closed-form fast path and zero-alloc miss pipeline. current: working tree. ServeBatch and ServePlanMissClosedForm are current-only. Regenerate with scripts/bench.sh.",
+		Note:       "Search, simulator & serving benchmarks (bench_test.go). baseline: search/sim rows before the parallel/pruned search engine and cachesim interning; ServePlanMiss/ServePlanHit before the closed-form fast path and zero-alloc miss pipeline. current: working tree. ServeBatch, ServePlanMissClosedForm, ServePlanMissEnumerated and SkewSearchEnumerated are current-only. Regenerate with scripts/bench.sh.",
 		Benchmarks: map[string]*Entry{},
 	}
 	if *baseline != "" {
@@ -332,13 +332,14 @@ func validateReport(path string) error {
 			return fmt.Errorf("%s: %s speedup %.2f inconsistent with columns (%.2f)", path, name, e.Speedup, want)
 		}
 	}
-	// These serving-layer rows have no pre-optimization capture, so only a
+	// These rows have no pre-optimization capture, so only a
 	// current column is required.
-	servingRequired := []string{"ServeBatch", "ServePlanMissClosedForm"}
-	for _, name := range servingRequired {
+	currentOnly := []string{"ServeBatch", "ServePlanMissClosedForm", "ServePlanMissEnumerated",
+		"SkewSearchEnumerated/P=16", "SkewSearchEnumerated/P=64"}
+	for _, name := range currentOnly {
 		e := rep.Benchmarks[name]
 		if e == nil {
-			return fmt.Errorf("%s: missing serving benchmark %q", path, name)
+			return fmt.Errorf("%s: missing current-only benchmark %q", path, name)
 		}
 		if e.Current == nil {
 			return fmt.Errorf("%s: %s lacks a current row", path, name)

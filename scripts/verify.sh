@@ -34,7 +34,7 @@ echo '== perfbench: served plan bytes and canonical keys vs the reference =='
 
 echo '== race: parallel search engine at forced pool sizes =='
 go test -race -count=1 \
-	-run 'TestSearchDeterministicAcrossPoolSizes|TestPruningDoesNotChangePlan' \
+	-run 'TestSearchDeterministicAcrossPoolSizes|TestPruningDoesNotChangePlan|TestEnumeratedSearchConcurrent' \
 	./internal/partition
 
 echo '== race: serving layer (singleflight, shedding, graceful shutdown) =='
@@ -52,6 +52,9 @@ go test -fuzz=FuzzParse -fuzztime=10s -run '^$' ./internal/loopir
 
 echo '== fuzz smoke: footprint model vs enumeration (10s) =='
 go test -fuzz=FuzzRectFootprint -fuzztime=10s -run '^$' ./internal/verify
+
+echo '== fuzz smoke: integer image counter vs the string-keyed oracle (10s) =='
+go test -fuzz=FuzzExactCount -fuzztime=10s -run '^$' ./internal/verify
 
 echo '== fuzz smoke: HNF/SNF contracts (10s) =='
 go test -fuzz=FuzzHNF -fuzztime=10s -run '^$' ./internal/verify
